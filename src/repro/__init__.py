@@ -12,6 +12,9 @@ Top-level convenience re-exports.  The primary entry points are:
   substrate (GPT2 / BERT / T5 configurations) built on the protected kernels.
 * :class:`repro.hardware.AttentionCostModel` -- the A100 roofline model used
   to regenerate the paper's timing figures and tables.
+* :class:`repro.exec.ExperimentSpec` / :func:`repro.exec.run_experiment` --
+  the one way to run a Monte-Carlo campaign or sweep (``python -m repro run``
+  on the command line).
 """
 
 from repro.core import (
@@ -26,27 +29,15 @@ from repro.core import (
     get_scheme,
     register_scheme,
 )
+from repro.exec import (
+    ExperimentResult,
+    ExperimentSpec,
+    available_executors,
+    register_executor,
+    run_experiment,
+)
 from repro.fault import FaultInjector, FaultSite, FaultSpec
 from repro.hardware import A100_PCIE_40GB, AttentionCostModel, AttentionWorkload
-
-#: Unified-experiment names resolved lazily (PEP 562) so that ``python -m
-#: repro.fault.runner`` / ``python -m repro.fault.sweep`` do not import those
-#: modules twice through the repro.exec dependency chain.
-_EXEC_EXPORTS = (
-    "ExperimentResult",
-    "ExperimentSpec",
-    "available_executors",
-    "register_executor",
-    "run_experiment",
-)
-
-
-def __getattr__(name: str):
-    if name in _EXEC_EXPORTS:
-        from repro import exec as _exec
-
-        return getattr(_exec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "1.0.0"
 

@@ -89,22 +89,22 @@ def format_campaign_result(result, title: str | None = None) -> str:
 def format_sweep_result(result, title: str | None = None) -> str:
     """Render a cross-campaign sweep as one merged table.
 
-    ``result`` is a :class:`repro.fault.sweep.SweepResult` or
-    :class:`repro.exec.results.ExperimentResult`: one row per grid point, the
-    grid axes as the leading columns and the per-point summary statistics as
-    the trailing columns.  Every aggregate must implement the
+    ``result`` is a :class:`repro.exec.results.ExperimentResult`: one row per
+    grid point, the grid axes as the leading columns and the per-point
+    summary statistics as the trailing columns.  Every aggregate must
+    implement the
     :class:`~repro.exec.results.SummaryProtocol` and agree on its summary
     keys -- a result lacking ``summary()`` (other than the threshold-sweep
     lists, which have their own compact rendering) raises a clear
     ``TypeError`` instead of silently rendering a blank or lopsided column.
     """
-    axes = result.sweep.axes
+    axes = result.spec.axes
+    entries = list(result.points)
     if title is None:
         title = (
-            f"sweep: {result.sweep.label} "
-            f"({len(result.entries)} campaigns x {result.sweep.n_trials} trials)"
+            f"sweep: {result.spec.label} "
+            f"({len(entries)} campaigns x {result.spec.n_trials} trials)"
         )
-    entries = list(result.entries)
     if not entries:
         return format_table(axes, [], title=title)
 

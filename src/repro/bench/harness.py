@@ -50,8 +50,8 @@ class BenchCase:
 
 
 def default_cases() -> list[BenchCase]:
-    """The full pinned suite: every fault campaign on a small fixed workload."""
-    thresholds = [0.1, 0.3, 0.5]
+    """The full pinned suite: every campaign with a batched kernel, on a small
+    fixed workload (the scalar-only campaigns have no second path to time)."""
     return [
         # Monte-Carlo fault campaigns run deliberately scaled-down models, so
         # the regime that matters is small tensors where per-trial Python and
@@ -96,33 +96,6 @@ def default_cases() -> list[BenchCase]:
                 "cols": 64,
                 "depth": 32,
             },
-        ),
-        BenchCase(
-            name="abft_detection_sweep",
-            campaign="abft_detection_sweep",
-            n_trials=128,
-            params={"thresholds": thresholds, "rows": 64, "cols": 64, "depth": 64},
-        ),
-        BenchCase(
-            name="snvr_detection_sweep",
-            campaign="snvr_detection_sweep",
-            n_trials=128,
-            params={"thresholds": thresholds, "rows": 64, "cols": 64, "depth": 64},
-        ),
-        BenchCase(
-            name="restriction_error_distribution/selective",
-            campaign="restriction_error_distribution",
-            n_trials=64,
-            params={"method": "selective", "seq_len": 128, "head_dim": 32, "block_size": 16},
-        ),
-        # This campaign drives the EFTA kernel directly (no transformer
-        # around it) and has no batched trial kernel; the case tracks the
-        # scalar baseline (speedup ~1.0 by construction).
-        BenchCase(
-            name="efta_site_resilience/gemm_qk",
-            campaign="efta_site_resilience",
-            n_trials=32,
-            params={"site": "gemm_qk", "seq_len": 64, "head_dim": 32, "block_size": 32},
         ),
     ]
 

@@ -5,8 +5,9 @@ many grid points and tabulate" artifact in the paper (Figures 9/12/14/15,
 Tables 1-2):
 
 * :class:`ExperimentSpec` -- one declarative spec covering both single
-  campaigns and cross-campaign sweep grids (auto-detected on load); the
-  legacy ``CampaignSpec``/``SweepSpec`` remain as thin wrappers over it.
+  campaigns and cross-campaign sweep grids (auto-detected on load); each
+  grid point expands into a per-point
+  :class:`~repro.fault.runner.CampaignSpec`.
 * :class:`Executor` -- the pluggable execution-strategy interface with
   ``serial``, ``process`` (one pool shared across all grid points), ``async``
   (concurrent-futures shard dispatch) and ``distributed`` (socket/queue

@@ -7,10 +7,6 @@ appended (and flushed) as they finish, an existing file is used to skip
 already-finished trial indices on resume, and a completed file is rewritten
 in canonical trial-sorted order -- so the bytes on disk are identical for
 any executor backend, worker count or interruption history.
-
-The format predates this module (it is the
-:class:`~repro.fault.runner.CampaignRunner` checkpoint format, unchanged), so
-old results files resume seamlessly under the new engine and vice versa.
 """
 
 from __future__ import annotations

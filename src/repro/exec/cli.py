@@ -40,9 +40,6 @@ one queryable database, ``--to jsonl`` exports canonical checkpoint files).
 ``--max-trials``) to run the spec adaptively: grid points stop early once
 their metric's confidence interval is tight enough and top up in batches
 otherwise -- equivalent to an ``"adaptive": {...}`` block in the spec.
-
-The legacy ``python -m repro.fault.runner`` / ``python -m repro.fault.sweep``
-entry points forward here with deprecation notices.
 """
 
 from __future__ import annotations
@@ -59,11 +56,6 @@ from repro.exec.executors import available_executors
 from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
 from repro.exec.spec import ExperimentSpec
 from repro.store import DEFAULT_STORE, available_stores, open_store, sniff_store
-
-
-def deprecation_note(old: str, new: str) -> None:
-    """Print the forwarding notice the legacy CLIs emit (stderr, not stdout)."""
-    print(f"note: {old} is deprecated; use {new} instead", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------- #

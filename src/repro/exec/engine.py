@@ -1,7 +1,7 @@
 """The experiment engine: one spec, one results store, any executor.
 
 :class:`ExperimentRunner` executes an :class:`~repro.exec.spec.ExperimentSpec`
-(or anything coercible to one -- a legacy campaign/sweep spec, a dict, JSON
+(or anything coercible to one -- a per-point campaign spec, a dict, JSON
 text) through a pluggable :class:`~repro.exec.executors.Executor` backend and
 returns a typed :class:`~repro.exec.results.ExperimentResult`.
 

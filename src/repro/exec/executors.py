@@ -36,15 +36,12 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
+import multiprocessing
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from repro.fault.runner import (
-    _chunk,
-    _iter_trial_records,
-    _mp_context,
-    _run_trial_batch,
-)
+from repro.fault.runner import _iter_trial_records, _run_trial_batch
 
 #: A per-trial record: a JSON-serialisable mapping produced by a trial kernel.
 TrialRecord = dict
@@ -63,6 +60,21 @@ class TrialSlice:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+
+
+def _chunk(items: Sequence[int], n_chunks: int) -> list[list[int]]:
+    n_chunks = max(1, min(n_chunks, len(items)))
+    size = -(-len(items) // n_chunks)
+    return [list(items[i : i + size]) for i in range(0, len(items), size)]
+
+
+def _mp_context():
+    # fork is the cheap path but is only safe on Linux (macOS frameworks and
+    # BLAS threads abort in forked children); elsewhere use the platform
+    # default -- the registry repopulates lazily, so spawn works too.
+    if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class Executor(abc.ABC):

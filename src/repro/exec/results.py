@@ -240,16 +240,6 @@ class ExperimentResult:
         return len(self.points)
 
     @property
-    def entries(self) -> list[PointResult]:
-        """Alias kept for sweep-report compatibility (``entry.point/.result``)."""
-        return self.points
-
-    @property
-    def sweep(self):
-        """The experiment as a legacy :class:`SweepSpec` (report compatibility)."""
-        return self.spec.as_sweep()
-
-    @property
     def result(self) -> Any:
         """The single aggregate of a one-point (campaign) experiment."""
         if len(self.points) != 1:
@@ -373,18 +363,6 @@ class ExperimentResult:
     def complete(self) -> bool:
         """Whether every grid point has a full record set."""
         return all(entry.records.complete for entry in self.points)
-
-    def to_sweep_result(self):
-        """Bridge to the legacy :class:`~repro.fault.sweep.SweepResult`."""
-        from repro.fault.sweep import SweepEntry, SweepResult
-
-        return SweepResult(
-            sweep=self.spec.as_sweep(),
-            entries=[
-                SweepEntry(point=entry.point, spec=entry.spec, result=entry.result)
-                for entry in self.points
-            ],
-        )
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ shapes they are given, so one loader handles every spec file in the repo::
      "base_params": {"site": "gemm_qk"},
      "grid": {"scheme": ["none", "efta_unified"], "bit_error_rate": [1e-9, 1e-8]}}
 
-The legacy :class:`~repro.fault.runner.CampaignSpec` and
-:class:`~repro.fault.sweep.SweepSpec` survive as thin wrappers: both convert
-losslessly to and from an :class:`ExperimentSpec` (``from_campaign`` /
-``from_sweep`` / ``as_campaign`` / ``as_sweep``), and the sweep's grid
-expansion lives here.
+Each grid point expands into a per-point
+:class:`~repro.fault.runner.CampaignSpec` (``expanded``); a single campaign
+converts losslessly to and from that form (``from_campaign`` /
+``as_campaign``).
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ class ExperimentSpec:
 
         A single campaign (empty grid) expands to one pair whose spec
         round-trips exactly to the :class:`CampaignSpec` form of this
-        experiment (same ``name``), so checkpoint resume identities are
-        shared between the old and new entry points.
+        experiment (same ``name``), so a campaign checkpoint's resume
+        identity does not depend on which form it was run from.
         """
         if not self.is_sweep:
             return [({}, self.as_campaign())]
@@ -191,8 +190,8 @@ class ExperimentSpec:
         """Plain-dict form, in the campaign or sweep on-disk shape.
 
         A single campaign serialises to the :class:`CampaignSpec` shape
-        (``params``), a sweep to the :class:`SweepSpec` shape (``base_params``
-        + ``grid``), so files written from either API load with either.
+        (``params``), a sweep to the grid shape (``base_params`` + ``grid``);
+        :meth:`from_dict` reads both.
         """
         if not self.is_sweep:
             data = {
@@ -269,11 +268,11 @@ class ExperimentSpec:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------ #
-    # Legacy-spec bridges
+    # Per-point spec conversions
     # ------------------------------------------------------------------ #
     @classmethod
     def from_campaign(cls, spec: CampaignSpec) -> "ExperimentSpec":
-        """Lift a legacy :class:`CampaignSpec` into an experiment."""
+        """Lift a per-point :class:`CampaignSpec` into a one-point experiment."""
         return cls(
             campaign=spec.campaign,
             n_trials=spec.n_trials,
@@ -283,20 +282,8 @@ class ExperimentSpec:
         )
 
     @classmethod
-    def from_sweep(cls, sweep: Any) -> "ExperimentSpec":
-        """Lift a legacy :class:`~repro.fault.sweep.SweepSpec` into an experiment."""
-        return cls(
-            campaign=sweep.campaign,
-            n_trials=sweep.n_trials,
-            seed=sweep.seed,
-            params=json.loads(json.dumps(sweep.base_params)),
-            grid=json.loads(json.dumps(sweep.grid)),
-            name=sweep.name,
-        )
-
-    @classmethod
     def from_any(cls, spec: Any) -> "ExperimentSpec":
-        """Coerce any spec form (experiment, campaign, sweep, dict, JSON text)."""
+        """Coerce any spec form (experiment, campaign spec, dict, JSON text)."""
         if isinstance(spec, cls):
             return spec
         if isinstance(spec, CampaignSpec):
@@ -305,12 +292,10 @@ class ExperimentSpec:
             return cls.from_dict(spec)
         if isinstance(spec, str):
             return cls.from_json(spec)
-        if hasattr(spec, "grid") and hasattr(spec, "base_params"):
-            return cls.from_sweep(spec)
         raise TypeError(f"cannot build an ExperimentSpec from {type(spec).__name__}")
 
     def as_campaign(self) -> CampaignSpec:
-        """This experiment as a legacy :class:`CampaignSpec` (no grid allowed)."""
+        """This experiment as a per-point :class:`CampaignSpec` (no grid allowed)."""
         if self.is_sweep:
             raise ValueError(
                 f"experiment {self.label!r} has a {len(self.grid)}-axis grid; "
@@ -324,19 +309,6 @@ class ExperimentSpec:
             n_trials=self.n_trials,
             seed=self.seed,
             params=params,
-            name=self.name,
-        )
-
-    def as_sweep(self):
-        """This experiment as a legacy :class:`~repro.fault.sweep.SweepSpec`."""
-        from repro.fault.sweep import SweepSpec
-
-        return SweepSpec(
-            campaign=self.campaign,
-            n_trials=self.n_trials,
-            seed=self.seed,
-            base_params=json.loads(json.dumps(self.params)),
-            grid=json.loads(json.dumps(self.grid)),
             name=self.name,
         )
 

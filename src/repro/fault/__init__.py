@@ -1,4 +1,4 @@
-"""Fault-injection framework: fault model, injector, campaign runner, metrics.
+"""Fault-injection framework: fault model, injector, campaign kernels, metrics.
 
 The fault model follows Section 2.2 of the paper: transient computing-unit
 faults (single event upsets) silently corrupt freshly computed values by
@@ -7,13 +7,10 @@ faults by FT-MPI, so injection targets the *outputs of computation steps*
 (GEMM tiles, exponentials, reductions), not stored operands.
 
 Monte-Carlo campaigns (the evidence behind Figures 12 and 14 and Tables 1-2)
-run on a declarative runner: a :class:`~repro.fault.runner.CampaignSpec`
-names a registered per-trial kernel and its parameters, and
-:class:`~repro.fault.runner.CampaignRunner` shards the trials across
-``multiprocessing`` workers with per-trial derived seeds
-(``SeedSequence.spawn``), checkpoints each finished trial to JSONL and
-resumes interrupted runs -- producing bit-identical aggregates regardless of
-worker count.  New workloads plug in with::
+are registered per-trial kernels: a :class:`~repro.fault.runner.CampaignSpec`
+names a kernel and its parameters, and every trial draws from its own
+generator (``SeedSequence.spawn``), so records are bit-identical regardless
+of backend or worker count.  New workloads plug in with::
 
     from repro.fault.runner import register_campaign
 
@@ -22,9 +19,10 @@ worker count.  New workloads plug in with::
         ...  # one Monte-Carlo trial
         return {"injected": 1, "detected": 1, "corrected": 1, "output_rel_error": 0.0}
 
-and run either programmatically (:func:`~repro.fault.runner.run_campaign`)
-or from a JSON spec file via ``python -m repro.fault.runner spec.json
---workers 4 --results out.jsonl``.
+and run through :mod:`repro.exec` -- programmatically with
+:func:`~repro.exec.engine.run_experiment` on an
+:class:`~repro.exec.spec.ExperimentSpec`, or from a JSON spec file via
+``python -m repro run spec.json --executor process --workers 4 --results out``.
 
 * :mod:`repro.fault.models` -- fault sites, fault specifications, SEU / BER
   sampling.
@@ -32,11 +30,8 @@ or from a JSON spec file via ``python -m repro.fault.runner spec.json
   protected kernels, plus bit-error-rate style corruption helpers.
 * :mod:`repro.fault.metrics` -- per-trial outcomes and campaign aggregates
   (detection rate, false-alarm rate, coverage, error distributions).
-* :mod:`repro.fault.runner` -- the declarative, parallel, resumable campaign
-  runner: spec, trial-kernel registry, JSONL persistence and CLI.
-* :mod:`repro.fault.sweep` -- cross-campaign sweep grids: a
-  :class:`~repro.fault.sweep.SweepSpec` expands schemes x BERs x thresholds x
-  models into many campaigns and merges them into one report.
+* :mod:`repro.fault.runner` -- the per-point campaign spec, the trial-kernel
+  registry and per-trial iteration.
 * :mod:`repro.fault.campaign` -- the registered trial kernels and thin
   wrappers behind Figures 12 and 14, plus the ``transformer_inference``
   model-level kernel.
@@ -50,53 +45,24 @@ or from a JSON spec file via ``python -m repro.fault.runner spec.json
 from repro.fault.models import FaultSite, FaultSpec, InjectionRecord
 from repro.fault.injector import FaultInjector, inject_bit_errors
 from repro.fault.metrics import CampaignResult, TrialOutcome
-
-#: Runner/sweep names resolved lazily (PEP 562) so that ``python -m
-#: repro.fault.runner`` / ``python -m repro.fault.sweep`` do not import their
-#: modules twice.
-_RUNNER_EXPORTS = (
-    "CampaignRunner",
-    "CampaignSpec",
-    "available_campaigns",
-    "campaign_summaries",
-    "register_campaign",
-    "run_campaign",
+from repro.fault.runner import (
+    CampaignSpec,
+    available_campaigns,
+    campaign_summaries,
+    register_campaign,
 )
-_SWEEP_EXPORTS = (
-    "SweepEntry",
-    "SweepResult",
-    "SweepSpec",
-    "run_sweep",
+from repro.fault.dictionary import (
+    FAULTLOAD_SCHEMA_VERSION,
+    FaultModel,
+    Faultload,
+    FaultloadGenerator,
+    available_fault_models,
+    fault_model_summaries,
+    faultload_digest,
+    get_fault_model,
+    load_faultload,
+    register_fault_model,
 )
-_DICTIONARY_EXPORTS = (
-    "FAULTLOAD_SCHEMA_VERSION",
-    "FaultModel",
-    "Faultload",
-    "FaultloadGenerator",
-    "available_fault_models",
-    "fault_model_summaries",
-    "faultload_digest",
-    "get_fault_model",
-    "load_faultload",
-    "register_fault_model",
-)
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.fault import runner
-
-        return getattr(runner, name)
-    if name in _SWEEP_EXPORTS:
-        from repro.fault import sweep
-
-        return getattr(sweep, name)
-    if name in _DICTIONARY_EXPORTS:
-        from repro.fault import dictionary
-
-        return getattr(dictionary, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "FaultSite",
@@ -106,16 +72,10 @@ __all__ = [
     "inject_bit_errors",
     "CampaignResult",
     "TrialOutcome",
-    "CampaignRunner",
     "CampaignSpec",
     "available_campaigns",
     "campaign_summaries",
     "register_campaign",
-    "run_campaign",
-    "SweepEntry",
-    "SweepResult",
-    "SweepSpec",
-    "run_sweep",
     "FAULTLOAD_SCHEMA_VERSION",
     "FaultModel",
     "Faultload",

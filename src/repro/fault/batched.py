@@ -252,7 +252,7 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     injector seed), so the resulting records -- and the JSONL checkpoint --
     are byte-identical to the scalar path.
     """
-    from repro.fault.campaign import _transformer_fixture, _validate_sites
+    from repro.fault.campaign import _transformer_fixture, _validate_sites, faulted_errstate
     from repro.fault.dictionary import faultload_digest, get_fault_model, load_faultload
     from repro.fault.injector import FaultInjector
     from repro.fault.metrics import TrialOutcome
@@ -268,7 +268,7 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
         if trial_indices is None:
             raise ValueError(
                 "faultload replay requires the campaign runner to supply "
-                "'_trial_indices'; run through repro.fault.runner / repro.exec"
+                "'_trial_indices'; run through repro.exec"
             )
         replay_trials = [faultload.specs_for(int(i)) for i in trial_indices]
         replay_models = {
@@ -337,17 +337,17 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     n_trials = len(rngs)
     token_batch = _token_batch(ids, n_trials)
     router = _BatchFaultRouter(injectors)
-    if use_flash:
-        reports = None
-        logits = _forward_batched_unprotected(model, token_batch, router)
-    else:
-        reports = [FaultToleranceReport() for _ in range(n_trials)]
-        logits = _forward_batched(model, token_batch, router, reports)
+    reports = None if use_flash else [FaultToleranceReport() for _ in range(n_trials)]
+    with faulted_errstate():
+        if use_flash:
+            logits = _forward_batched_unprotected(model, token_batch, router)
+        else:
+            logits = _forward_batched(model, token_batch, router, reports)
+        # One stacked |faulty - clean| pass; the per-trial max over its own
+        # slice is the same value the scalar kernel's whole-array max produces.
+        deviations = np.abs(logits - clean_logits).reshape(n_trials, -1).max(axis=1)
 
     denom = max(float(np.abs(clean_logits).max()), 1e-12)
-    # One stacked |faulty - clean| pass; the per-trial max over its own slice
-    # is the same value the scalar kernel's whole-array max produces.
-    deviations = np.abs(logits - clean_logits).reshape(n_trials, -1).max(axis=1)
     records = []
     for t, injector in enumerate(injectors):
         applied = len(injector.records)
@@ -366,118 +366,6 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
                 else False
             ),
             output_rel_error=rel_err if applied else 0.0,
-        ).to_dict()
-        if replay_trials is not None:
-            record["fault_digest"] = faultload_digest(replay_trials[t])
-        records.append(record)
-    return records
-
-
-@register_campaign_batch("efta_site_resilience")
-def _efta_site_batch(rngs: list, params: dict) -> list[dict] | None:
-    """Batched site-resilience trials: one stacked fused-kernel forward.
-
-    The reference attention and the protected kernel both carry the trial
-    axis; each trial's q/k/v tensors, fault draws (bit, then injector seed)
-    and injector offers replay the scalar kernel's exact order, so the
-    records are byte-identical to the scalar path.
-    """
-    from repro.attention.standard import standard_attention
-    from repro.core.config import AttentionConfig
-    from repro.core.efta_optimized import EFTAttentionOptimized
-    from repro.fault.dictionary import faultload_digest, get_fault_model, load_faultload
-    from repro.fault.injector import FaultInjector
-    from repro.fault.metrics import TrialOutcome
-    from repro.fault.models import FaultSite
-
-    fault_model = str(params.get("fault_model", "seu"))
-    if get_fault_model(fault_model).at_rest:
-        # The scalar kernel rejects at-rest models with a clear ValueError;
-        # decline so the error is raised (and worded) in exactly one place.
-        return None
-    model_params = dict(params.get("model_params", {}))
-    replay_trials = None
-    if "faultload" in params:
-        faultload = load_faultload(params["faultload"])
-        trial_indices = params.get("_trial_indices")
-        if trial_indices is None:
-            raise ValueError(
-                "faultload replay requires the campaign runner to supply "
-                "'_trial_indices'; run through repro.fault.runner / repro.exec"
-            )
-        replay_trials = [faultload.specs_for(int(i)) for i in trial_indices]
-        if any(
-            get_fault_model(s.fault_model).at_rest
-            for specs in replay_trials
-            for s in specs
-        ):
-            # The scalar kernel rejects at-rest replays too; decline before
-            # consuming any per-trial generator so it gets to say so.
-            return None
-    else:
-        site = FaultSite(params["site"])
-        if "dtype" in params:
-            dtype = str(params["dtype"])
-        elif "bits" in params:
-            dtype = "fp16"
-        else:
-            from repro.fault.campaign import _FP16_SITES
-
-            dtype = "fp16" if site.value in _FP16_SITES else "fp32"
-        from repro.fault.campaign import _DEFAULT_BITS
-
-        bits = [int(b) for b in params.get("bits", _DEFAULT_BITS.get(dtype, _DEFAULT_BITS["fp16"]))]
-    seq_len = int(params.get("seq_len", 192))
-    head_dim = int(params.get("head_dim", 64))
-    block_size = int(params.get("block_size", 64))
-
-    config = AttentionConfig(seq_len=seq_len, head_dim=head_dim, block_size=block_size)
-    attention = EFTAttentionOptimized(config)
-    if not getattr(attention, "supports_batched", False):
-        return None
-
-    qs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    vs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    references = standard_attention(qs, ks, vs)
-
-    injectors = []
-    for t, rng in enumerate(rngs):
-        if replay_trials is not None:
-            injectors.append(
-                FaultInjector(specs=list(replay_trials[t]), seed=int(rng.integers(2**31)))
-            )
-        else:
-            bit = bits[int(rng.integers(len(bits)))]
-            block = None if site == FaultSite.NORMALIZE else (0, 1)
-            injectors.append(
-                FaultInjector.single_bit_flip(
-                    site,
-                    seed=int(rng.integers(2**31)),
-                    bit=bit,
-                    dtype=dtype,
-                    block=block,
-                    fault_model=fault_model,
-                    model_params=model_params,
-                )
-            )
-
-    router = _BatchFaultRouter(injectors)
-    outputs, attn_reports = attention.forward_batched(qs, ks, vs, router)
-
-    records = []
-    for t, injector in enumerate(injectors):
-        report = attn_reports[t]
-        rel_err = float(np.abs(outputs[t] - references[t]).max() / np.abs(references[t]).max())
-        if replay_trials is None and fault_model == "seu":
-            injected = 1
-        else:
-            injected = len(injector.records)
-        record = TrialOutcome(
-            injected=injected,
-            detected=int(report.detected_any),
-            corrected=int(report.total_corrections > 0),
-            output_rel_error=rel_err,
         ).to_dict()
         if replay_trials is not None:
             record["fault_digest"] = faultload_digest(replay_trials[t])

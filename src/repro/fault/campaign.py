@@ -8,10 +8,10 @@ per-threshold sweep table.
 
 Every campaign is implemented as a per-trial kernel registered on
 :mod:`repro.fault.runner` (``trial(rng, params) -> record``), so all of them
-can be sharded across workers, checkpointed to JSONL and resumed, and driven
-from declarative spec files via ``python -m repro.fault.runner``.  The
-original entry points below are thin wrappers that build a
-:class:`~repro.fault.runner.CampaignSpec` and run it in-process.
+can be sharded across workers, checkpointed and resumed, and driven from
+declarative spec files via ``python -m repro run``.  The original entry
+points below are thin wrappers that build an
+:class:`~repro.exec.spec.ExperimentSpec` and run it in-process.
 """
 
 from __future__ import annotations
@@ -22,15 +22,11 @@ import numpy as np
 
 from repro.core.config import AttentionConfig
 from repro.core.snvr import exp_checksum_propagate, strided_products
-from repro.core.strided_abft import StridedABFT, stride_class_counts
-from repro.fault.injector import inject_bit_errors
+from repro.core.strided_abft import StridedABFT
+from repro.exec.engine import run_experiment
+from repro.exec.spec import ExperimentSpec
 from repro.fault.metrics import CampaignResult, TrialOutcome
-from repro.fault.runner import (
-    CampaignSpec,
-    register_campaign,
-    register_campaign_batch,
-    run_campaign,
-)
+from repro.fault.runner import register_campaign, register_campaign_batch
 from repro.fp.bitflip import flip_bit
 from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import (
@@ -38,6 +34,17 @@ from repro.gemm.checksum import (
     verify_column_checksums,
     verify_strided_checksums,
 )
+
+
+def faulted_errstate():
+    """Floating-point error state for a computation that carries injected faults.
+
+    A flipped exponent bit may drive any downstream intermediate to inf or
+    NaN; that is the outcome a trial measures, not a numerical bug, so those
+    warnings are silenced around the faulted computation only.  Fault-free
+    computations (fixtures, clean oracles) keep the default state.
+    """
+    return np.errstate(all="ignore")
 
 
 # --------------------------------------------------------------------------- #
@@ -217,7 +224,7 @@ def abft_error_coverage(
     """
     if scheme not in ("tensor", "element"):
         raise ValueError("scheme must be 'tensor' or 'element'")
-    spec = CampaignSpec(
+    spec = ExperimentSpec(
         campaign="abft_error_coverage",
         n_trials=n_trials,
         seed=seed,
@@ -231,7 +238,7 @@ def abft_error_coverage(
             "rtol": rtol,
         },
     )
-    return run_campaign(spec)
+    return run_experiment(spec).result
 
 
 # --------------------------------------------------------------------------- #
@@ -318,42 +325,6 @@ def _abft_detection_trial(rng: np.random.Generator, params: dict) -> dict:
     }
 
 
-@register_campaign_batch("abft_detection_sweep")
-def _abft_detection_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched sweep trials: the score GEMM runs once, stacked over trials."""
-    _require_thresholds(params)
-    rows = int(params.get("rows", 64))
-    cols = int(params.get("cols", 64))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    cfg = AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-    abft = StridedABFT(cfg)
-
-    qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
-    scores_batch = fp16_matmul(qs, ks.transpose(0, 2, 1))
-
-    records = []
-    for t, rng in enumerate(rngs):
-        scores = scores_batch[t]
-        checksums = abft.score_block_checksums(qs[t], ks[t], scale=1.0)
-        reference = np.abs(np.asarray(checksums.check1, dtype=np.float64)) + 1e-6
-        clean_res = np.abs(abft.residuals(scores, checksums)) / reference
-
-        corrupted = scores.copy()
-        idx = (int(rng.integers(rows)), int(rng.integers(cols)))
-        bit = int(rng.integers(10, 16))
-        corrupted[idx] = flip_bit(float(corrupted[idx]), bit, np.float16)
-        faulty_res = np.abs(abft.residuals(corrupted, checksums)) / reference
-        records.append(
-            {
-                "max_clean_residual": _peak_residual(clean_res),
-                "max_faulty_residual": _peak_residual(faulty_res),
-            }
-        )
-    return records
-
-
 def abft_detection_sweep(
     thresholds: list[float],
     n_trials: int = 50,
@@ -371,7 +342,7 @@ def abft_detection_sweep(
     re-accumulation) and once with a single random bit flip injected
     (detection measurement).
     """
-    spec = CampaignSpec(
+    spec = ExperimentSpec(
         campaign="abft_detection_sweep",
         n_trials=n_trials,
         seed=seed,
@@ -383,7 +354,7 @@ def abft_detection_sweep(
             "stride": stride,
         },
     )
-    return run_campaign(spec)
+    return run_experiment(spec).result
 
 
 # --------------------------------------------------------------------------- #
@@ -421,46 +392,6 @@ def _snvr_detection_trial(rng: np.random.Generator, params: dict) -> dict:
     }
 
 
-@register_campaign_batch("snvr_detection_sweep")
-def _snvr_detection_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched sweep trials: score GEMM, max and EXP stacked over trials."""
-    _require_thresholds(params)
-    rows = int(params.get("rows", 64))
-    cols = int(params.get("cols", 64))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    cfg = AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-    abft = StridedABFT(cfg)
-    scale = cfg.effective_scale
-
-    qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
-    scores_batch = fp16_matmul(qs, ks.transpose(0, 2, 1)) * np.float32(scale)
-    row_max_batch = scores_batch.max(axis=2)
-    probs_batch = np.exp(scores_batch - row_max_batch[:, :, None]).astype(np.float32)
-
-    records = []
-    for t, rng in enumerate(rngs):
-        probs = probs_batch[t]
-        row_max = row_max_batch[t]
-        checksums = abft.score_block_checksums(qs[t], ks[t], scale)
-        p_check = exp_checksum_propagate(checksums.check1, row_max, checksums.class_counts)
-        clean_dev = np.abs(strided_products(probs, stride) - p_check) / np.abs(p_check)
-
-        corrupted = probs.copy()
-        idx = (int(rng.integers(rows)), int(rng.integers(cols)))
-        bit = int(rng.integers(8, 16))
-        corrupted[idx] = flip_bit(float(corrupted[idx]), bit, np.float16)
-        faulty_dev = np.abs(strided_products(corrupted, stride) - p_check) / np.abs(p_check)
-        records.append(
-            {
-                "max_clean_residual": _peak_residual(clean_dev),
-                "max_faulty_residual": _peak_residual(faulty_dev),
-            }
-        )
-    return records
-
-
 def snvr_detection_sweep(
     thresholds: list[float],
     n_trials: int = 50,
@@ -477,7 +408,7 @@ def snvr_detection_sweep(
     from the propagated checksum gives the false-alarm curve, a single bit
     flip in the probability block gives the detection curve.
     """
-    spec = CampaignSpec(
+    spec = ExperimentSpec(
         campaign="snvr_detection_sweep",
         n_trials=n_trials,
         seed=seed,
@@ -489,7 +420,7 @@ def snvr_detection_sweep(
             "stride": stride,
         },
     )
-    return run_campaign(spec)
+    return run_experiment(spec).result
 
 
 # --------------------------------------------------------------------------- #
@@ -557,7 +488,10 @@ def _restriction_trial(rng: np.random.Generator, params: dict) -> dict:
             corrupted_rowsum = np.where(bad, lower_bound, corrupted_rowsum)
         normalised = corrupted_probs / corrupted_rowsum[:, None]
     else:
-        raw = corrupted_probs / corrupted_rowsum[:, None]
+        # A flipped denominator may be zero or subnormal; the resulting
+        # inf/NaN probabilities are the modelled outcome the clamp restricts.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            raw = corrupted_probs / corrupted_rowsum[:, None]
         normalised = np.clip(raw, 0.0, 1.0)
         # The clamp "detects" a fault only if it actually restricted a value
         # (NaNs compare unequal to themselves and so count as restricted).
@@ -575,95 +509,6 @@ def _restriction_trial(rng: np.random.Generator, params: dict) -> dict:
         corrected=int(rel_err < 0.02),
         output_rel_error=rel_err,
     ).to_dict()
-
-
-@register_campaign_batch("restriction_error_distribution")
-def _restriction_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched restriction trials: the clean score / softmax / reference
-    pipeline is stacked over trials; the corruption, restriction and the
-    corrupted output GEMM stay per trial (they depend on the injected fault).
-    """
-    method = params.get("method", "selective")
-    if method not in ("selective", "traditional"):
-        raise ValueError("method must be 'selective' or 'traditional'")
-    seq_len = int(params.get("seq_len", 256))
-    head_dim = int(params.get("head_dim", 64))
-    block_size = int(params.get("block_size", 16))
-    peakedness = float(params.get("peakedness", 4.0))
-    n_blocks = -(-seq_len // block_size)
-
-    qs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    vs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    scale = peakedness / np.sqrt(head_dim)
-    scores_batch = np.matmul(qs, ks.transpose(0, 2, 1)).astype(np.float32) * np.float32(scale)
-    row_max_batch = scores_batch.max(axis=2)
-    probs_batch = np.exp(scores_batch - row_max_batch[:, :, None]).astype(np.float32)
-    rowsum_batch = probs_batch.sum(axis=2)
-    reference_batch = np.matmul(probs_batch / rowsum_batch[:, :, None], vs)
-
-    records = []
-    for t, rng in enumerate(rngs):
-        scores, row_max = scores_batch[t], row_max_batch[t]
-        probs, rowsum = probs_batch[t], rowsum_batch[t]
-        v, reference = vs[t], reference_batch[t]
-
-        block_maxes = np.stack(
-            [scores[:, b * block_size : (b + 1) * block_size].max(axis=1) for b in range(n_blocks)],
-            axis=0,
-        )
-        lower_bound = np.exp(block_maxes - row_max[None, :]).sum(axis=0)
-
-        row = int(rng.integers(seq_len))
-        corrupt_numerator = bool(rng.integers(2))
-        corrupted_probs = probs.copy()
-        corrupted_rowsum = rowsum.copy()
-        detected = False
-        if corrupt_numerator:
-            col = int(rng.integers(seq_len))
-            bit = int(rng.integers(8, 16))
-            corrupted_probs[row, col] = flip_bit(float(probs[row, col]), bit, np.float16)
-            corrupted_rowsum = corrupted_probs.sum(axis=1)
-        else:
-            bit = int(rng.integers(18, 31))
-            corrupted_rowsum[row] = flip_bit(float(rowsum[row]), bit, np.float32)
-
-        if method == "selective":
-            if corrupt_numerator:
-                delta = np.abs(corrupted_probs[row] - probs[row])
-                if np.any(delta > 0.02 * max(float(probs[row].max()), 1e-6)):
-                    detected = True
-                    corrupted_probs[row] = probs[row]
-                    corrupted_rowsum = corrupted_probs.sum(axis=1)
-            else:
-                bad = (
-                    (corrupted_rowsum < lower_bound)
-                    | (corrupted_rowsum > seq_len)
-                    | ~np.isfinite(corrupted_rowsum)
-                )
-                detected = bool(bad[row])
-                corrupted_rowsum = np.where(bad, lower_bound, corrupted_rowsum)
-            normalised = corrupted_probs / corrupted_rowsum[:, None]
-        else:
-            raw = corrupted_probs / corrupted_rowsum[:, None]
-            normalised = np.clip(raw, 0.0, 1.0)
-            detected = bool(np.any(normalised != raw))
-
-        output = normalised @ v
-        denom = max(float(np.abs(reference[row]).max()), 1e-12)
-        abs_err = float(np.abs(output[row] - reference[row]).max())
-        if not np.isfinite(abs_err):
-            abs_err = 10.0 * denom
-        rel_err = min(abs_err / denom, 10.0)
-        records.append(
-            TrialOutcome(
-                injected=1,
-                detected=int(detected),
-                corrected=int(rel_err < 0.02),
-                output_rel_error=rel_err,
-            ).to_dict()
-        )
-    return records
 
 
 def restriction_error_distribution(
@@ -702,7 +547,7 @@ def restriction_error_distribution(
     """
     if method not in ("selective", "traditional"):
         raise ValueError("method must be 'selective' or 'traditional'")
-    spec = CampaignSpec(
+    spec = ExperimentSpec(
         campaign="restriction_error_distribution",
         n_trials=n_trials,
         seed=seed,
@@ -714,7 +559,7 @@ def restriction_error_distribution(
             "peakedness": peakedness,
         },
     )
-    return run_campaign(spec)
+    return run_experiment(spec).result
 
 
 # --------------------------------------------------------------------------- #
@@ -746,7 +591,7 @@ def _resolve_faultload_trial(params: dict):
     if trial_index is None:
         raise ValueError(
             "faultload replay requires the campaign runner to supply "
-            "'_trial_index'; run through repro.fault.runner / repro.exec"
+            "'_trial_index'; run through repro.exec"
         )
     specs = faultload.specs_for(int(trial_index))
     return faultload, specs, faultload_digest(specs)
@@ -816,8 +661,9 @@ def _efta_site_trial(rng: np.random.Generator, params: dict) -> dict:
             fault_model=fault_model,
             model_params=model_params,
         )
-    output, report = attention(q, k, v, injector=injector)
-    rel_err = float(np.abs(output - reference).max() / np.abs(reference).max())
+    with faulted_errstate():
+        output, report = attention(q, k, v, injector=injector)
+        rel_err = float(np.abs(output - reference).max() / np.abs(reference).max())
     # The historical SEU path reports `injected=1` (one planned fault) even
     # when the pinned block never executes; other models count what landed.
     if replay is None and fault_model == "seu":
@@ -967,13 +813,15 @@ def _run_at_rest_trial(rng, model, ids, clean_logits, tol: float, specs) -> dict
             weight = tensors[int(rng.integers(len(tensors)))][1]
             records = fmodel.apply(spec, weight, apply_rng, {}, None)
             applied.append((weight, records))
-        output = model(ids, injector=None)
+        with faulted_errstate():
+            output = model(ids, injector=None)
     finally:
         for weight, records in reversed(applied):
             for record in reversed(records):
                 weight[record.index] = record.original
     n_injected = sum(len(records) for _, records in applied)
-    return _transformer_outcome(output, clean_logits, n_injected, tol)
+    with faulted_errstate():
+        return _transformer_outcome(output, clean_logits, n_injected, tol)
 
 
 def _validate_sites(sites, site_counts, params: dict) -> None:
@@ -1043,8 +891,9 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
                 params,
             )
             injector = FaultInjector(specs=list(specs), seed=int(rng.integers(2**31)))
-            output = model(ids, injector=injector)
-            record = _transformer_outcome(output, clean_logits, len(injector.records), tol)
+            with faulted_errstate():
+                output = model(ids, injector=injector)
+                record = _transformer_outcome(output, clean_logits, len(injector.records), tol)
         record["fault_digest"] = fault_digest
         return record
 
@@ -1095,8 +944,9 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
 
     specs = [one_spec() for _ in range(n_faults)]
     injector = FaultInjector(specs=specs, seed=int(rng.integers(2**31)))
-    output = model(ids, injector=injector)
-    return _transformer_outcome(output, clean_logits, len(injector.records), tol)
+    with faulted_errstate():
+        output = model(ids, injector=injector)
+        return _transformer_outcome(output, clean_logits, len(injector.records), tol)
 
 
 # The batched transformer kernel lives in its own module (it pulls in the

@@ -1,45 +1,32 @@
-"""Declarative Monte-Carlo campaign specs, the trial-kernel registry, and the
-legacy single-campaign runner.
+"""Declarative Monte-Carlo campaign specs, the trial-kernel registry, and
+per-trial iteration.
 
-The seed implemented every fault-injection campaign as a bespoke serial loop.
-This module factors the shared machinery out into three pieces so new
-campaigns (new fault models, new protection schemes, transformer-level
-sweeps) plug in with a single registered function:
+Every fault-injection campaign plugs in with a single registered function:
 
-* :class:`CampaignSpec` -- a declarative description of one campaign: which
+* :class:`CampaignSpec` -- a declarative description of one campaign (one
+  grid point of an :class:`~repro.exec.spec.ExperimentSpec`): which
   registered trial kernel to run, the workload / fault-model / protection
   parameters it takes, the trial count and the root seed.  Specs round-trip
-  losslessly through ``to_dict``/``from_dict`` and ``to_json``/``from_json``,
-  so campaigns can live in version-controlled JSON files.
+  losslessly through ``to_dict``/``from_dict`` and ``to_json``/``from_json``.
 * a **trial-kernel registry** -- :func:`register_campaign` binds a name to a
   per-trial function ``trial(rng, params) -> record`` plus an aggregator that
   folds the per-trial records into the campaign's result object (a
-  :class:`~repro.fault.metrics.CampaignResult` by default).
-* :class:`CampaignRunner` -- the legacy single-campaign entry point, now a
-  thin wrapper over the unified engine in :mod:`repro.exec`: the spec is
-  lifted into an :class:`~repro.exec.spec.ExperimentSpec` and executed on the
-  ``serial`` backend (``n_workers == 1``, in-process, usable with
-  locally-registered kernels) or the shared ``process`` pool.  Every trial
-  draws from its own generator seeded by
-  ``SeedSequence(spec.seed).spawn(n_trials)[trial]``, so the aggregate result
-  is bit-identical regardless of backend, worker count or scheduling.  With a
-  ``results_path`` each finished trial is checkpointed to JSONL, interrupted
-  campaigns resume, and completed files are rewritten in canonical
-  (trial-sorted) form -- identical bytes for every execution history.
+  :class:`~repro.fault.metrics.CampaignResult` by default);
+  :func:`register_campaign_batch` optionally attaches a batched kernel that
+  produces the same records, byte for byte, for a chunk of trials.
+* :func:`_iter_trial_records` -- runs a slice of trial indices, each trial on
+  its own generator seeded by ``SeedSequence(spec.seed).spawn(n)[trial]``, so
+  records are bit-identical regardless of backend, worker count or chunking.
 
-The ``python -m repro.fault.runner`` command line survives as a forwarding
-shim around ``python -m repro run`` (see :mod:`repro.exec.cli`).
+Experiments are run by :mod:`repro.exec` (``run_experiment`` or
+``python -m repro run``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import multiprocessing
 import os
-import sys
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -361,71 +348,6 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# --------------------------------------------------------------------------- #
-# Runner
-# --------------------------------------------------------------------------- #
-class CampaignRunner:
-    """Executes a :class:`CampaignSpec`, optionally sharded and checkpointed.
-
-    A thin wrapper over the unified engine (:mod:`repro.exec`): the spec is
-    lifted into a single-point :class:`~repro.exec.spec.ExperimentSpec` and
-    executed on the ``serial`` or shared ``process`` backend.
-
-    Parameters
-    ----------
-    spec:
-        The campaign to run.
-    n_workers:
-        Number of ``multiprocessing`` workers.  ``1`` runs in-process (no
-        pool), which also makes locally-registered (non-importable) trial
-        kernels usable.
-    results_path:
-        Optional JSONL checkpoint file.  One line per finished trial is
-        appended as it completes; an existing file is used to skip
-        already-finished trial indices (resume), and the file is rewritten in
-        canonical trial-sorted order once the campaign completes.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        n_workers: int = 1,
-        results_path: str | Path | None = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.spec = spec
-        self.n_workers = n_workers
-        self.results_path = Path(results_path) if results_path is not None else None
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> Any:
-        """Run (or resume) the campaign and return its aggregated result."""
-        from repro.exec.engine import ExperimentRunner
-        from repro.exec.spec import ExperimentSpec
-
-        result = ExperimentRunner(
-            ExperimentSpec.from_campaign(self.spec),
-            executor="serial" if self.n_workers == 1 else "process",
-            n_workers=self.n_workers,
-            results_path=self.results_path,
-        ).run()
-        return result.points[0].result
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint plumbing kept for callers of the old private surface; the
-    # implementation lives in repro.exec.checkpoint now.
-    def _open_checkpoint(self, header: bool):
-        from repro.exec.checkpoint import TrialCheckpoint
-
-        return TrialCheckpoint(self.spec, self.results_path).open(header=header)
-
-    def _checkpoint(self, sink, index: int, record: TrialRecord) -> None:
-        from repro.exec.checkpoint import TrialCheckpoint
-
-        TrialCheckpoint(self.spec, self.results_path).append(index, record, sink=sink)
-
-
 def _resume_key(spec_dict: dict) -> str:
     """Resume-identity of a spec: everything defining the trial *records*.
 
@@ -444,104 +366,3 @@ def _resume_key(spec_dict: dict) -> str:
         if key not in ("name", "n_trials")
     }
     return _canonical_json(data)
-
-
-def _chunk(items: Sequence[int], n_chunks: int) -> list[list[int]]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size = -(-len(items) // n_chunks)
-    return [list(items[i : i + size]) for i in range(0, len(items), size)]
-
-
-def _mp_context():
-    # fork is the cheap path but is only safe on Linux (macOS frameworks and
-    # BLAS threads abort in forked children); elsewhere use the platform
-    # default -- the registry repopulates lazily, so spawn works too.
-    if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    n_workers: int = 1,
-    results_path: str | Path | None = None,
-) -> Any:
-    """Convenience wrapper: build a :class:`CampaignRunner` and run it."""
-    return CampaignRunner(spec, n_workers=n_workers, results_path=results_path).run()
-
-
-# --------------------------------------------------------------------------- #
-# Command-line interface
-# --------------------------------------------------------------------------- #
-def format_result(result: Any, title: str | None = None) -> str:
-    """Render an aggregated campaign result as a plain-text report."""
-    from repro.analysis.reporting import format_point_result
-
-    return format_point_result(result, title=title)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Forwarding shim: ``python -m repro.fault.runner`` -> ``python -m repro run``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fault.runner",
-        description="[deprecated: use `python -m repro run`] Run a declarative "
-        "fault-injection campaign (or sweep) from a JSON spec file.",
-    )
-    parser.add_argument("spec", nargs="?", help="path to a CampaignSpec/SweepSpec JSON file")
-    parser.add_argument("--workers", type=int, default=1, help="number of worker processes")
-    parser.add_argument(
-        "--results",
-        default=None,
-        help="checkpoint path enabling resume: a JSONL file for a campaign "
-        "spec, a directory of per-campaign JSONL files for a sweep spec",
-    )
-    parser.add_argument(
-        "--list-campaigns", action="store_true", help="list registered campaigns and exit"
-    )
-    args = parser.parse_args(argv)
-
-    from repro.exec import cli
-
-    cli.deprecation_note("python -m repro.fault.runner", "python -m repro run")
-    if args.list_campaigns:
-        return cli.main(["list-campaigns"])
-    if args.spec is None:
-        parser.error("a spec file is required (or use --list-campaigns)")
-    from repro.fault.sweep import SweepSpec, is_sweep_dict, run_sweep
-
-    data = json.loads(Path(args.spec).read_text())
-    if is_sweep_dict(data) and not data.get("grid"):
-        # Legacy behaviour: a sweep-shaped spec with an empty grid still used
-        # sweep semantics (--results is a directory holding 000-<label>.jsonl),
-        # which ExperimentSpec would read as a plain campaign.  Run it through
-        # the engine-backed sweep wrapper to keep old checkpoints resumable.
-        from repro.analysis.reporting import format_sweep_result
-
-        if args.results is not None and Path(args.results).is_file():
-            parser.error(
-                f"--results {args.results} is a file, but a sweep spec "
-                "checkpoints into a directory of per-campaign JSONL files"
-            )
-        result = run_sweep(
-            SweepSpec.from_dict(data), n_workers=args.workers, results_dir=args.results
-        )
-        print(format_sweep_result(result))
-        return 0
-    forwarded = ["run", args.spec, "--workers", str(args.workers)]
-    if args.workers > 1:
-        # The legacy runner pooled workers whenever --workers > 1; the new
-        # CLI defaults to the serial backend, so forward that choice too.
-        forwarded += ["--executor", "process"]
-    if args.results is not None:
-        forwarded += ["--results", args.results]
-    return cli.main(forwarded)
-
-
-if __name__ == "__main__":
-    # Under ``python -m repro.fault.runner`` this file executes as
-    # ``__main__`` while the trial kernels register themselves against the
-    # canonical ``repro.fault.runner`` module; delegate so both sides share
-    # one registry.
-    from repro.fault import runner as _canonical
-
-    sys.exit(_canonical.main())

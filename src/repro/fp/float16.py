@@ -20,7 +20,9 @@ FP16_MIN_NORMAL: float = float(np.finfo(np.float16).tiny)
 
 def to_fp16(x: np.ndarray | float) -> np.ndarray:
     """Cast ``x`` to half precision (values out of range saturate to inf)."""
-    return np.asarray(x, dtype=np.float16)
+    # Saturating to inf beyond FP16_MAX is the modelled half-precision range.
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=np.float16)
 
 
 def to_fp32(x: np.ndarray | float) -> np.ndarray:
@@ -60,6 +62,9 @@ def fp16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.ndarray
         ``a @ b`` with float32 dtype.
     """
-    a16 = np.asarray(a, dtype=np.float16).astype(np.float32)
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    # Operands beyond FP16_MAX (e.g. a flipped exponent bit) saturate to inf,
+    # as the tensor-core input cast does; that is the modelled outcome.
+    with np.errstate(over="ignore"):
+        a16 = np.asarray(a, dtype=np.float16).astype(np.float32)
+        b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
     return np.matmul(a16, b16, dtype=np.float32)

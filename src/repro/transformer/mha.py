@@ -10,11 +10,8 @@ verify their GEMMs whenever the scheme protects linear layers.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.attention.flash import flash_attention
 from repro.attention.tiling import merge_heads, split_heads
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.schemes import build_scheme
@@ -22,38 +19,6 @@ from repro.fault.injector import FaultInjector
 from repro.transformer.layers import ProtectedLinear
 
 DEFAULT_SCHEME = "efta_unified"
-
-
-def resolve_scheme_name(scheme: str | bool | None, unified_verification: bool | None) -> str:
-    """Map the current ``scheme`` name (or the deprecated flags) to a registry name.
-
-    Accepts the two legacy spellings with a :class:`DeprecationWarning`: the
-    ``unified_verification=`` keyword, and a bare bool passed where ``scheme``
-    now sits (the flag's old positional slot).
-    """
-    if unified_verification is not None:
-        warnings.warn(
-            "unified_verification= is deprecated; pass scheme='efta_unified' "
-            "or scheme='efta' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        mapped = "efta_unified" if unified_verification else "efta"
-        if isinstance(scheme, str) and scheme not in (DEFAULT_SCHEME, mapped):
-            raise ValueError(
-                f"conflicting scheme selection: scheme={scheme!r} vs deprecated "
-                f"unified_verification={unified_verification!r} (-> {mapped!r})"
-            )
-        return mapped
-    if isinstance(scheme, bool):
-        warnings.warn(
-            "passing a bool where scheme: str is expected is deprecated; pass "
-            "scheme='efta_unified' or scheme='efta' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "efta_unified" if scheme else "efta"
-    return DEFAULT_SCHEME if scheme is None else scheme
 
 
 class MultiHeadAttention:
@@ -70,9 +35,6 @@ class MultiHeadAttention:
     scheme:
         Name of a registered protection scheme (``"none"``, ``"efta"``,
         ``"efta_unified"``, ``"decoupled"``).
-    unified_verification:
-        Deprecated: ``True`` maps to ``scheme="efta_unified"``, ``False`` to
-        ``scheme="efta"``.
     """
 
     def __init__(
@@ -84,7 +46,6 @@ class MultiHeadAttention:
         attention_block_size: int = 128,
         scheme: str = DEFAULT_SCHEME,
         checksum_stride: int = 8,
-        unified_verification: bool | None = None,
     ):
         if hidden_dim % num_heads:
             raise ValueError("hidden_dim must be divisible by num_heads")
@@ -101,7 +62,7 @@ class MultiHeadAttention:
             block_size=attention_block_size,
             checksum_stride=checksum_stride,
         )
-        self.scheme_name = resolve_scheme_name(scheme, unified_verification)
+        self.scheme_name = scheme
         self.attention = build_scheme(self.scheme_name, config)
 
     @property
@@ -114,25 +75,12 @@ class MultiHeadAttention:
         x: np.ndarray,
         injector: FaultInjector | None = None,
         report: FaultToleranceReport | None = None,
-        protected: bool | None = None,
     ) -> np.ndarray:
-        """Apply self-attention to ``x`` of shape ``(batch, seq_len, hidden_dim)``.
-
-        ``protected`` is deprecated: ``protected=False`` forces the
-        unprotected path regardless of the configured scheme (construct with
-        ``scheme="none"`` instead); ``protected=True`` forces the scheme path.
-        """
+        """Apply self-attention to ``x`` of shape ``(batch, seq_len, hidden_dim)``."""
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 3:
             raise ValueError("expected input of shape (batch, seq_len, hidden_dim)")
-        if protected is not None:
-            warnings.warn(
-                "protected= is deprecated; select the unprotected path by "
-                "constructing with scheme='none'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        protect_linear = self.protects_linear if protected is None else protected
+        protect_linear = self.protects_linear
         q = self.q_proj(x, injector=injector, protected=protect_linear)
         k = self.k_proj(x, injector=injector, protected=protect_linear)
         v = self.v_proj(x, injector=injector, protected=protect_linear)
@@ -142,14 +90,9 @@ class MultiHeadAttention:
         qh = split_heads(q, self.num_heads)
         kh = split_heads(k, self.num_heads)
         vh = split_heads(v, self.num_heads)
-        if protected is False:
-            out_heads = flash_attention(
-                qh, kh, vh, block_size=self.attention.config.block_size, mixed_precision=True
-            )
-        else:
-            out_heads, attn_report = self.attention.forward(qh, kh, vh, injector=injector)
-            if report is not None:
-                report.merge(attn_report)
+        out_heads, attn_report = self.attention.forward(qh, kh, vh, injector=injector)
+        if report is not None:
+            report.merge(attn_report)
         out = merge_heads(out_heads)
         projected = self.out_proj(out, injector=injector, protected=protect_linear)
         self._record(self.out_proj, report, "out_proj")

@@ -18,11 +18,10 @@ from repro.analysis.reporting import (
     format_table,
     format_threshold_sweep,
 )
-from repro.exec.results import RecordSummary
+from repro.exec.results import ExperimentResult, PointResult, RecordSummary, TrialRecordSet
+from repro.exec.spec import ExperimentSpec
 from repro.fault.campaign import ThresholdSweepPoint
 from repro.fault.metrics import CampaignResult, TrialOutcome
-from repro.fault.runner import CampaignSpec
-from repro.fault.sweep import SweepEntry, SweepResult, SweepSpec
 
 
 def lines(text: str) -> list[str]:
@@ -111,17 +110,25 @@ class TestFormatThresholdSweep:
         ]
 
 
-def _sweep_result(results) -> SweepResult:
-    sweep = SweepSpec(
+def _sweep_result(results) -> ExperimentResult:
+    sweep = ExperimentSpec(
         campaign="c",
         n_trials=2,
         grid={"scheme": ["a", "b"]},
         name="golden",
     )
-    entries = []
-    for (point, spec), result in zip(sweep.expanded(), results):
-        entries.append(SweepEntry(point=point, spec=spec, result=result))
-    return SweepResult(sweep=sweep, entries=entries)
+    points = []
+    for index, ((point, spec), result) in enumerate(zip(sweep.expanded(), results)):
+        points.append(
+            PointResult(
+                index=index,
+                point=point,
+                spec=spec,
+                records=TrialRecordSet(spec=spec),
+                result=result,
+            )
+        )
+    return ExperimentResult(spec=sweep, points=points)
 
 
 class TestFormatSweepResult:

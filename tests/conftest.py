@@ -25,6 +25,9 @@ def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers", "slow: multi-hundred-trial campaign sweeps (run with --runslow)"
     )
+    # Expected floating-point edge cases are handled at their sites with
+    # np.errstate; any other inf/NaN warning raised from repro is a bug.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:repro")
 
 
 def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item]) -> None:

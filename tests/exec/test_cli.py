@@ -520,109 +520,6 @@ class TestProgressFlag:
             main(["worker", "--connect", "127.0.0.1:7777"])
 
 
-class TestLegacyForwarding:
-    def test_runner_cli_forwards_worker_pool(self, campaign_file, monkeypatch):
-        """--workers N > 1 must select the pooled backend, like the old runner."""
-        from repro.exec import cli as cli_module
-        from repro.fault.runner import main as runner_main
-
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-            return 0
-
-        monkeypatch.setattr(cli_module, "main", fake_main)
-        runner_main([str(campaign_file), "--workers", "4"])
-        assert "--executor" in captured["argv"]
-        assert captured["argv"][captured["argv"].index("--executor") + 1] == "process"
-
-        runner_main([str(campaign_file), "--workers", "1"])
-        assert "--executor" not in captured["argv"]
-
-    def test_sweep_cli_forwards_worker_pool(self, sweep_file, monkeypatch):
-        from repro.exec import cli as cli_module
-        from repro.fault.sweep import main as sweep_main
-
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-            return 0
-
-        monkeypatch.setattr(cli_module, "main", fake_main)
-        sweep_main([str(sweep_file), "--workers", "3"])
-        assert captured["argv"][captured["argv"].index("--executor") + 1] == "process"
-
-    def test_runner_cli_keeps_gridless_sweep_directory_semantics(self, tmp_path, capsys):
-        """A "grid": {} spec used sweep (directory) checkpoints pre-redesign."""
-        from repro.fault.runner import main as runner_main
-        from repro.fault.sweep import SweepSpec
-
-        gridless = SweepSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            base_params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 32, "cols": 32},
-            name="runner-gridless",
-        )
-        spec_file = tmp_path / "gridless.json"
-        spec_file.write_text(gridless.to_json())
-        results = tmp_path / "out"
-        results.mkdir()  # a pre-existing (old-run) directory must be accepted
-        assert runner_main([str(spec_file), "--results", str(results)]) == 0
-        assert "sweep: runner-gridless" in capsys.readouterr().out
-        assert (results / "000-runner-gridless.jsonl").exists()
-        # And it resumes: a second invocation re-reads the same directory.
-        assert runner_main([str(spec_file), "--results", str(results)]) == 0
-
-    def test_sweep_cli_accepts_gridless_spec(self, tmp_path, capsys):
-        """The legacy sweep CLI ran empty-grid specs; the shim must too."""
-        from repro.fault.sweep import SweepSpec
-        from repro.fault.sweep import main as sweep_main
-
-        gridless = SweepSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            base_params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 32, "cols": 32},
-            name="gridless",
-        )
-        spec_file = tmp_path / "gridless.json"
-        spec_file.write_text(gridless.to_json())
-        results = tmp_path / "out"
-        assert sweep_main([str(spec_file), "--results-dir", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "sweep: gridless" in out
-        assert (results / "000-gridless.jsonl").exists()
-
-    def test_runner_cli_forwards_with_notice(self, campaign_file, capsys):
-        from repro.fault.runner import main as runner_main
-
-        assert runner_main([str(campaign_file)]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "python -m repro run" in captured.err
-        assert "campaign: abft_error_coverage (6 trials)" in captured.out
-
-    def test_runner_cli_list_campaigns_has_summaries(self, capsys):
-        from repro.fault.runner import main as runner_main
-
-        assert runner_main(["--list-campaigns"]) == 0
-        captured = capsys.readouterr()
-        assert "burst fault events" in captured.out
-
-    def test_sweep_cli_forwards_with_notice(self, sweep_file, tmp_path, capsys):
-        from repro.fault.sweep import main as sweep_main
-
-        results = tmp_path / "dir"
-        assert sweep_main([str(sweep_file), "--results-dir", str(results)]) == 0
-        captured = capsys.readouterr()
-        assert "python -m repro sweep" in captured.err
-        assert "sweep: cli-sweep" in captured.out
-        assert results.is_dir()
-
-
 class TestTrialBatchFlag:
     def test_trial_batch_exported_to_environment(self, campaign_file, tmp_path, monkeypatch):
         from repro.fault.runner import TRIAL_BATCH_ENV

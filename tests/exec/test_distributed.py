@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.exec.distributed import (
     DistributedExecutor,
     FixedScale,
     QueueDepthScale,
+    _stop_coordinator,
     build_scale_policy,
     format_address,
     import_worker_module,
@@ -150,6 +152,27 @@ class TestHelpers:
     def test_worker_connect_failure_raises(self):
         with pytest.raises(OSError):
             run_worker(("127.0.0.1", 1), authkey="x", connect_timeout=0.5)
+
+    def test_stop_coordinator_tolerates_only_oserror_from_close(self):
+        class Listener:
+            def __init__(self, error):
+                self.error = error
+
+            def close(self):
+                raise self.error
+
+        server = SimpleNamespace(
+            stop_event=threading.Event(), listener=Listener(OSError("closed"))
+        )
+        _stop_coordinator(server)
+        assert server.stop_event.is_set()
+
+        server = SimpleNamespace(
+            stop_event=threading.Event(), listener=Listener(RuntimeError("boom"))
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            _stop_coordinator(server)
+        assert server.stop_event.is_set()
 
     def test_invalid_lease_timeout_rejected(self):
         with pytest.raises(ValueError, match="lease_timeout"):

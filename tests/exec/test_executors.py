@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from repro.exec.executors import (
     Executor,
     SerialExecutor,
     TrialSlice,
+    _chunk,
+    _mp_context,
     available_executors,
     build_executor,
     get_executor,
@@ -105,6 +108,19 @@ class TestRegistry:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             SerialExecutor(n_workers=0)
+
+    def test_chunk_splits_contiguously_in_order(self):
+        assert _chunk(list(range(10)), 3) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        # More chunks than items: one item per chunk, none empty.
+        assert _chunk([4, 9], 5) == [[4], [9]]
+        assert _chunk([1, 2, 3], 0) == [[1, 2, 3]]
+
+    def test_mp_context_forks_only_on_linux(self):
+        method = _mp_context().get_start_method()
+        if sys.platform == "linux":
+            assert method == "fork"
+        else:
+            assert method != "fork"
 
     def test_batches_rejects_mutated_worker_count(self):
         """A zero-worker instance must fail loudly, not batch silently."""

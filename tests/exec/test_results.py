@@ -208,11 +208,6 @@ class TestExperimentResult:
         summaries = sweep.summary()
         assert summaries[(1e-8, "tensor")]["n_trials"] == 3
 
-    def test_sweep_result_bridge(self):
-        bridge = run_experiment(self.SWEEP).to_sweep_result()
-        assert bridge.sweep.axes == ["bit_error_rate", "scheme"]
-        assert len(bridge.entries) == 4
-
 
 class TestRecordSummary:
     def test_single_record_aggregate(self):

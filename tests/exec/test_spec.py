@@ -1,4 +1,4 @@
-"""Tests for the unified ExperimentSpec: auto-detection, round-trips, bridges."""
+"""Tests for the unified ExperimentSpec: auto-detection, round-trips, expansion."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.exec.spec import ExperimentSpec, load_spec
 from repro.fault.runner import CampaignSpec
-from repro.fault.sweep import SweepSpec
 
 CAMPAIGN_DICT = {
     "campaign": "abft_error_coverage",
@@ -111,12 +110,21 @@ class TestExpansion:
         assert point == {}
         assert campaign == CampaignSpec.from_dict(CAMPAIGN_DICT)
 
-    def test_sweep_expansion_matches_legacy_sweep_spec(self):
-        experiment = ExperimentSpec.from_dict(SWEEP_DICT)
-        legacy = SweepSpec.from_dict(SWEEP_DICT)
-        assert [s.to_json() for s in experiment.expand()] == [
-            s.to_json() for s in legacy.expand()
+    def test_sweep_expansion_order_is_pinned(self):
+        specs = ExperimentSpec.from_dict(SWEEP_DICT).expand()
+        # Axes in sorted key order, values in the order given.
+        assert [s.name for s in specs] == [
+            "one-sweep/bit_error_rate=1e-09,scheme=tensor",
+            "one-sweep/bit_error_rate=1e-09,scheme=element",
+            "one-sweep/bit_error_rate=1e-08,scheme=tensor",
+            "one-sweep/bit_error_rate=1e-08,scheme=element",
         ]
+        assert [s.params for s in specs][0] == {
+            "rows": 64, "bit_error_rate": 1e-9, "scheme": "tensor"
+        }
+        assert {(s.seed, s.n_trials, s.campaign) for s in specs} == {
+            (13, 4, "abft_error_coverage")
+        }
 
     def test_grid_axis_overrides_base_param(self):
         spec = ExperimentSpec(
@@ -130,14 +138,6 @@ class TestBridges:
         campaign = CampaignSpec.from_dict(CAMPAIGN_DICT)
         assert ExperimentSpec.from_campaign(campaign).as_campaign() == campaign
 
-    def test_sweep_spec_round_trip(self):
-        sweep = SweepSpec.from_dict(SWEEP_DICT)
-        assert ExperimentSpec.from_sweep(sweep).as_sweep() == sweep
-
-    def test_sweep_spec_to_experiment(self):
-        sweep = SweepSpec.from_dict(SWEEP_DICT)
-        assert sweep.to_experiment() == ExperimentSpec.from_dict(SWEEP_DICT)
-
     def test_as_campaign_refuses_grid(self):
         with pytest.raises(ValueError, match="grid"):
             ExperimentSpec.from_dict(SWEEP_DICT).as_campaign()
@@ -147,7 +147,6 @@ class TestBridges:
         assert ExperimentSpec.from_any(experiment) is experiment
         assert ExperimentSpec.from_any(SWEEP_DICT) == experiment
         assert ExperimentSpec.from_any(json.dumps(SWEEP_DICT)) == experiment
-        assert ExperimentSpec.from_any(SweepSpec.from_dict(SWEEP_DICT)) == experiment
         campaign = CampaignSpec.from_dict(CAMPAIGN_DICT)
         assert ExperimentSpec.from_any(campaign) == ExperimentSpec.from_campaign(campaign)
 

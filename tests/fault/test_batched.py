@@ -3,7 +3,10 @@
 The batched execution path (``REPRO_TRIAL_BATCH > 1``) must produce JSONL
 checkpoints byte-identical to the scalar oracle path for every registered
 campaign, on every backend, at every batch size -- the batching is purely an
-execution-speed optimisation, never a numerics trade-off.
+execution-speed optimisation, never a numerics trade-off.  Campaigns without a
+batched kernel still run chunked: their batched path is the per-trial scalar
+fallback, whose seeds and faultload trial indices must not shift with the
+chunking.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ CASES = {
     "transformer_cost": (1, {}),
 }
 
+#: The only built-in campaigns with a batched kernel: the rest measured no
+#: speedup over their scalar kernel and run through the scalar fallback.
+BATCHED_CAMPAIGNS = {"abft_error_coverage", "transformer_inference"}
+
 #: A larger transformer workload: the wide ``lm_head`` projection only drifts
 #: for rare value patterns, so a handful of trials can miss a real parity bug
 #: (a fused 2D GEMM over stacked trials diverged on ~2 of 64 trials).
@@ -64,17 +71,24 @@ def _run_bytes(monkeypatch, tmp_path, campaign, batch, n_trials, params, *, seed
     return out.read_bytes()
 
 
+def _builtin_campaigns():
+    return sorted(
+        name
+        for name in available_campaigns()
+        if get_campaign(name).trial.__module__.startswith("repro.")
+    )
+
+
 class TestByteParityAllCampaigns:
     def test_every_registered_campaign_has_a_case(self):
         # A new built-in campaign must be added to CASES so it gets parity
         # coverage.  Test-local campaigns (other modules register throwaway
         # kernels) are exempt: only kernels defined inside repro count.
-        builtin = sorted(
-            name
-            for name in available_campaigns()
-            if get_campaign(name).trial.__module__.startswith("repro.")
-        )
-        assert sorted(CASES) == builtin
+        assert sorted(CASES) == _builtin_campaigns()
+
+    def test_only_paying_campaigns_register_a_batch_kernel(self):
+        batched = {name for name in _builtin_campaigns() if get_campaign(name).batch}
+        assert batched == BATCHED_CAMPAIGNS
 
     @pytest.mark.parametrize("campaign", sorted(CASES))
     @pytest.mark.parametrize("batch", [3, 7, 16])

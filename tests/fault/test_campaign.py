@@ -1,8 +1,11 @@
 """Tests for the Monte-Carlo fault-injection campaigns (small trial counts)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.exec import ExperimentSpec, run_experiment
 from repro.fault.campaign import (
     abft_detection_sweep,
     abft_error_coverage,
@@ -92,6 +95,17 @@ class TestRestrictionDistribution:
         with pytest.raises(ValueError):
             restriction_error_distribution("bogus")
 
+    def test_traditional_zero_denominator_is_restricted_silently(self):
+        # Seed 0 flips a rowsum exponent bit to a subnormal denominator: the
+        # overflowing divide is the modelled outcome the clamp restricts.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trad = restriction_error_distribution(
+                "traditional", n_trials=100, seq_len=64, head_dim=16, seed=0
+            )
+        assert trad.n_trials == 100
+        assert any(o.detected for o in trad.outcomes)
+
     def test_distribution_histogram(self):
         sel = restriction_error_distribution("selective", n_trials=30, seed=7)
         edges, fractions = sel.error_distribution(bins=10, upper=0.2)
@@ -103,8 +117,6 @@ class TestTransformerInferenceCampaign:
 
     @staticmethod
     def _spec(**params):
-        from repro.fault.runner import CampaignSpec
-
         defaults = {
             "scheme": "efta_unified",
             "site": "gemm_qk",
@@ -114,7 +126,7 @@ class TestTransformerInferenceCampaign:
             "seq_len": 16,
         }
         defaults.update(params)
-        return CampaignSpec(
+        return ExperimentSpec(
             campaign="transformer_inference", n_trials=6, seed=3, params=defaults
         )
 
@@ -124,49 +136,37 @@ class TestTransformerInferenceCampaign:
         assert "transformer_inference" in available_campaigns()
 
     def test_protected_scheme_detects_and_corrects(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(self._spec())
+        result = run_experiment(self._spec()).result
         assert result.n_trials == 6
         assert result.detection_rate == 1.0
         assert result.coverage > 0.8
         assert result.mean_output_error < 0.01
 
     def test_unprotected_scheme_shows_silent_corruption(self):
-        from repro.fault.runner import run_campaign
-
-        protected = run_campaign(self._spec())
-        unprotected = run_campaign(self._spec(scheme="none"))
+        protected = run_experiment(self._spec()).result
+        unprotected = run_experiment(self._spec(scheme="none")).result
         assert unprotected.detection_rate == 0.0
         assert unprotected.mean_output_error > protected.mean_output_error
 
     def test_deterministic_across_worker_counts(self):
-        from repro.fault.runner import CampaignRunner
-
         spec = self._spec(scheme="decoupled")
-        serial = CampaignRunner(spec, n_workers=1).run()
-        sharded = CampaignRunner(spec, n_workers=3).run()
+        serial = run_experiment(spec).result
+        sharded = run_experiment(spec, executor="process", n_workers=3).result
         assert serial.outcomes == sharded.outcomes
 
     def test_ber_mode_draws_poisson_fault_counts(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(
+        result = run_experiment(
             self._spec(bit_error_rate=2e-8, site=["gemm_qk", "linear"])
-        )
+        ).result
         counts = [o.injected for o in result.outcomes]
         assert any(c == 0 for c in counts) or any(c > 1 for c in counts)
 
     def test_site_never_executed_is_rejected(self):
-        from repro.fault.runner import run_campaign
-
         with pytest.raises(ValueError, match="never execute"):
-            run_campaign(self._spec(scheme="decoupled", site="subtract_exp"))
+            run_experiment(self._spec(scheme="decoupled", site="subtract_exp")).result
 
     def test_model_zoo_names_accepted(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(self._spec(model="T5-Small"))
+        result = run_experiment(self._spec(model="T5-Small")).result
         assert result.n_trials == 6
 
 
@@ -174,10 +174,8 @@ class TestSiteResilienceDefaults:
     """Per-site bits/dtype defaults must not change legacy spec semantics."""
 
     def _run(self, params):
-        from repro.fault.runner import CampaignSpec, run_campaign
-
-        spec = CampaignSpec(campaign="efta_site_resilience", n_trials=6, seed=1, params=params)
-        return run_campaign(spec)
+        spec = ExperimentSpec(campaign="efta_site_resilience", n_trials=6, seed=1, params=params)
+        return run_experiment(spec).result
 
     def test_explicit_bits_keep_legacy_fp16_default(self):
         # Pre-redesign specs pinned fp16-range bits without a dtype; they must

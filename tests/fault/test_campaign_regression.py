@@ -19,7 +19,7 @@ from repro.fault.campaign import (
     restriction_error_distribution,
     snvr_detection_sweep,
 )
-from repro.fault.runner import CampaignSpec, run_campaign
+from repro.exec import ExperimentSpec, run_experiment
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -69,11 +69,11 @@ class TestFigure14Goldens:
 
 
 class TestWrappersAreThin:
-    """The public entry points must be exact shims over the runner."""
+    """The public entry points must be exact shims over the engine."""
 
     def test_coverage_wrapper_matches_spec_run(self):
         wrapped = abft_error_coverage(1e-7, n_trials=6, scheme="tensor", rows=64, cols=64, seed=5)
-        spec = CampaignSpec(
+        spec = ExperimentSpec(
             campaign="abft_error_coverage",
             n_trials=6,
             seed=5,
@@ -87,22 +87,22 @@ class TestWrappersAreThin:
                 "rtol": 0.02,
             },
         )
-        assert wrapped.outcomes == run_campaign(spec).outcomes
+        assert wrapped.outcomes == run_experiment(spec).result.outcomes
 
     def test_sweep_wrapper_matches_spec_run(self):
         thresholds = [0.01, 0.48]
         wrapped = abft_detection_sweep(thresholds, n_trials=8, seed=9)
-        spec = CampaignSpec(
+        spec = ExperimentSpec(
             campaign="abft_detection_sweep",
             n_trials=8,
             seed=9,
             params={"thresholds": thresholds, "rows": 64, "cols": 64, "depth": 64, "stride": 8},
         )
-        assert wrapped == run_campaign(spec)
+        assert wrapped == run_experiment(spec).result
 
     def test_restriction_wrapper_matches_spec_run(self):
         wrapped = restriction_error_distribution("selective", n_trials=5, seq_len=64, seed=3)
-        spec = CampaignSpec(
+        spec = ExperimentSpec(
             campaign="restriction_error_distribution",
             n_trials=5,
             seed=3,
@@ -114,7 +114,7 @@ class TestWrappersAreThin:
                 "peakedness": 4.0,
             },
         )
-        assert wrapped.outcomes == run_campaign(spec).outcomes
+        assert wrapped.outcomes == run_experiment(spec).result.outcomes
 
     def test_invalid_arguments_still_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Tests for the declarative campaign runner: determinism, resume, CLI."""
+"""Tests for campaign specs and the trial-kernel registry, run through the
+experiment engine: determinism, resume, CLI."""
 
 from __future__ import annotations
 
@@ -6,15 +7,15 @@ import json
 
 import pytest
 
+from repro.exec import ExperimentSpec, run_experiment
+from repro.exec.checkpoint import TrialCheckpoint
+from repro.exec.cli import main
 from repro.fault.metrics import CampaignResult
 from repro.fault.runner import (
-    CampaignRunner,
     CampaignSpec,
     available_campaigns,
     get_campaign,
-    main,
     register_campaign,
-    run_campaign,
 )
 
 
@@ -30,6 +31,16 @@ def _registry_snapshot():
     yield
     runner_module._REGISTRY.clear()
     runner_module._REGISTRY.update(saved)
+
+
+def run_spec(spec, n_workers: int = 1, results_path=None):
+    """Run one campaign spec on the serial (1 worker) or process backend."""
+    return run_experiment(
+        ExperimentSpec.from_any(spec),
+        executor="serial" if n_workers == 1 else "process",
+        n_workers=n_workers,
+        results_path=results_path,
+    ).result
 
 
 SPEC = CampaignSpec(
@@ -114,7 +125,7 @@ class TestRegistry:
         spec = CampaignSpec(campaign="abft_detection_sweep", n_trials=500, seed=0, params={})
         with pytest.raises(ValueError, match="thresholds"):
             # Must raise on trial 0, not after 500 trials in the aggregator.
-            run_campaign(spec)
+            run_spec(spec)
 
     def test_trial_params_isolated_between_trials(self):
         @register_campaign("test_runner_param_mutator")
@@ -130,7 +141,7 @@ class TestRegistry:
             seed=0,
             params={"queue": [1, 2, 3]},
         )
-        result = run_campaign(spec)
+        result = run_spec(spec)
         assert [o.detected for o in result.outcomes] == [2] * 6
 
     def test_custom_campaign_runs_in_process(self):
@@ -139,39 +150,39 @@ class TestRegistry:
             return {"injected": 1, "detected": 1, "corrected": int(rng.integers(2))}
 
         spec = CampaignSpec(campaign="test_runner_custom_counter", n_trials=6, seed=0)
-        result = run_campaign(spec)
+        result = run_spec(spec)
         assert isinstance(result, CampaignResult)
         assert result.n_trials == 6
 
 
 class TestDeterminism:
     def test_worker_count_does_not_change_result(self):
-        serial = run_campaign(SPEC, n_workers=1)
-        sharded = run_campaign(SPEC, n_workers=4)
+        serial = run_spec(SPEC, n_workers=1)
+        sharded = run_spec(SPEC, n_workers=4)
         assert serial.outcomes == sharded.outcomes
 
     def test_sweep_identical_across_workers(self):
-        serial = run_campaign(SWEEP_SPEC, n_workers=1)
-        sharded = run_campaign(SWEEP_SPEC, n_workers=3)
+        serial = run_spec(SWEEP_SPEC, n_workers=1)
+        sharded = run_spec(SWEEP_SPEC, n_workers=3)
         assert serial == sharded
 
     def test_results_file_bytes_identical_across_workers(self, tmp_path):
         one = tmp_path / "w1.jsonl"
         four = tmp_path / "w4.jsonl"
-        run_campaign(SPEC, n_workers=1, results_path=one)
-        run_campaign(SPEC, n_workers=4, results_path=four)
+        run_spec(SPEC, n_workers=1, results_path=one)
+        run_spec(SPEC, n_workers=4, results_path=four)
         assert one.read_bytes() == four.read_bytes()
 
     def test_different_seeds_differ(self):
         other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 8})
-        assert run_campaign(SPEC).outcomes != run_campaign(other).outcomes
+        assert run_spec(SPEC).outcomes != run_spec(other).outcomes
 
 
 class TestResume:
     def test_interrupted_run_resumes_to_same_result(self, tmp_path):
         # Uninterrupted reference run.
         full_path = tmp_path / "full.jsonl"
-        reference = run_campaign(SPEC, n_workers=1, results_path=full_path)
+        reference = run_spec(SPEC, n_workers=1, results_path=full_path)
 
         # Simulate a run killed mid-campaign: keep the header and the first
         # four finished trials, truncate the rest (plus a torn partial line).
@@ -179,42 +190,42 @@ class TestResume:
         lines = full_path.read_text().splitlines()
         partial_path.write_text("\n".join(lines[:5]) + '\n{"trial": 9, "rec')
 
-        resumed = run_campaign(SPEC, n_workers=2, results_path=partial_path)
+        resumed = run_spec(SPEC, n_workers=2, results_path=partial_path)
         assert resumed.outcomes == reference.outcomes
         assert partial_path.read_bytes() == full_path.read_bytes()
 
     def test_completed_run_is_not_recomputed(self, tmp_path):
         path = tmp_path / "done.jsonl"
-        reference = run_campaign(SPEC, results_path=path)
+        reference = run_spec(SPEC, results_path=path)
         before = path.read_bytes()
-        again = run_campaign(SPEC, results_path=path)
+        again = run_spec(SPEC, results_path=path)
         assert again.outcomes == reference.outcomes
         assert path.read_bytes() == before
 
     def test_resume_ignores_cosmetic_name_label(self, tmp_path):
         path = tmp_path / "named.jsonl"
-        reference = run_campaign(SPEC, results_path=path)
+        reference = run_spec(SPEC, results_path=path)
         renamed = CampaignSpec.from_dict({**SPEC.to_dict(), "name": "relabelled"})
-        assert run_campaign(renamed, results_path=path).outcomes == reference.outcomes
+        assert run_spec(renamed, results_path=path).outcomes == reference.outcomes
 
     def test_append_after_torn_final_line_stays_parseable(self, tmp_path):
         # A kill mid-write leaves no trailing newline; the next appended
         # record must start on a fresh line, not merge into the torn one.
         path = tmp_path / "torn.jsonl"
         path.write_text('{"spec": {}}\n{"trial": 0, "rec')
-        runner = CampaignRunner(SPEC, results_path=path)
-        sink = runner._open_checkpoint(header=False)
-        runner._checkpoint(sink, 1, {"ok": 1})
+        checkpoint = TrialCheckpoint(SPEC, path)
+        sink = checkpoint.open(header=False)
+        checkpoint.append(1, {"ok": 1}, sink=sink)
         sink.close()
         last = path.read_text().splitlines()[-1]
         assert json.loads(last) == {"trial": 1, "record": {"ok": 1}}
 
     def test_mismatched_spec_refused(self, tmp_path):
         path = tmp_path / "other.jsonl"
-        run_campaign(SPEC, results_path=path)
+        run_spec(SPEC, results_path=path)
         other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 99})
         with pytest.raises(ValueError, match="different"):
-            run_campaign(other, results_path=path)
+            run_spec(other, results_path=path)
 
     def test_serial_run_checkpoints_each_trial(self, tmp_path):
         calls = {"n": 0, "raised": False}
@@ -230,11 +241,11 @@ class TestResume:
         spec = CampaignSpec(campaign="test_runner_mid_crash", n_trials=10, seed=0)
         path = tmp_path / "crash.jsonl"
         with pytest.raises(RuntimeError):
-            run_campaign(spec, results_path=path)
+            run_spec(spec, results_path=path)
         # A serial run must checkpoint trial-by-trial: the three finished
         # trials are on disk, and the resume only runs the remaining seven.
         assert len(path.read_text().splitlines()) == 1 + 3
-        result = run_campaign(spec, results_path=path)
+        result = run_spec(spec, results_path=path)
         assert result.n_trials == 10
         assert calls["n"] == 10
 
@@ -248,7 +259,7 @@ class TestResume:
             params={"thresholds": [0.01]},
         )
         path = tmp_path / "sweep.jsonl"
-        run_campaign(spec, results_path=path)
+        run_spec(spec, results_path=path)
 
         def reject_constant(value):
             raise AssertionError(f"non-RFC JSON constant {value!r} in checkpoint")
@@ -258,13 +269,13 @@ class TestResume:
 
     def test_canonical_rewrite_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        run_campaign(SPEC, results_path=path)
-        run_campaign(SPEC, results_path=path)  # resume of a complete run
+        run_spec(SPEC, results_path=path)
+        run_spec(SPEC, results_path=path)  # resume of a complete run
         assert list(tmp_path.iterdir()) == [path]
 
     def test_checkpoint_lines_are_valid_json(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        run_campaign(SPEC, results_path=path)
+        run_spec(SPEC, results_path=path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         assert CampaignSpec.from_dict(header["spec"]) == SPEC
@@ -275,7 +286,7 @@ class TestResume:
 class TestRunnerValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
-            CampaignRunner(SPEC, n_workers=0)
+            run_spec(SPEC, n_workers=0)
 
 
 class TestCLI:
@@ -283,7 +294,8 @@ class TestCLI:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(SPEC.to_json())
         results = tmp_path / "out.jsonl"
-        assert main([str(spec_file), "--workers", "2", "--results", str(results)]) == 0
+        argv = ["run", str(spec_file), "--executor", "process", "--workers", "2"]
+        assert main(argv + ["--results", str(results)]) == 0
         out = capsys.readouterr().out
         assert "campaign: abft_error_coverage (10 trials)" in out
         assert "detection rate" in out
@@ -292,13 +304,13 @@ class TestCLI:
     def test_sweep_report(self, tmp_path, capsys):
         spec_file = tmp_path / "sweep.json"
         spec_file.write_text(SWEEP_SPEC.to_json())
-        assert main([str(spec_file)]) == 0
+        assert main(["run", str(spec_file)]) == 0
         out = capsys.readouterr().out
         assert "fault detection rate" in out
         assert "false alarm rate" in out
 
     def test_list_campaigns(self, capsys):
-        assert main(["--list-campaigns"]) == 0
+        assert main(["list-campaigns"]) == 0
         out = capsys.readouterr().out
         assert "abft_error_coverage" in out
         assert "snvr_detection_sweep" in out

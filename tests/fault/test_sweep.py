@@ -1,18 +1,14 @@
-"""Tests for the cross-campaign sweep grid: expansion, round-trip, resume."""
+"""Tests for experiment sweep grids: expansion, round-trip, resume."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_sweep_result
+from repro.exec import ExperimentSpec, campaign_results_path, run_experiment
 from repro.fault.runner import CampaignSpec, register_campaign
-from repro.fault.sweep import (
-    SweepSpec,
-    campaign_results_path,
-    is_sweep_dict,
-    run_sweep,
-)
 
 #: A cheap deterministic kernel for sweep-machinery tests; counts invocations
 #: through a module-level list so tests can assert "no re-run on resume".
@@ -33,11 +29,11 @@ def _sweep_probe_trial(rng: np.random.Generator, params: dict) -> dict:
 
 
 def _sweep(n_trials=4, name="grid-test"):
-    return SweepSpec(
+    return ExperimentSpec(
         campaign="_sweep_probe",
         n_trials=n_trials,
         seed=13,
-        base_params={"detect_p": 1.0, "correct_p": 0.5},
+        params={"detect_p": 1.0, "correct_p": 0.5},
         grid={"scheme": ["none", "efta_unified"], "ber": [1e-9, 1e-8, 1e-7]},
         name=name,
     )
@@ -69,115 +65,124 @@ class TestExpansion:
             assert spec.name.startswith("grid-test/")
 
     def test_grid_axis_overrides_base_param(self):
-        sweep = SweepSpec(
+        sweep = ExperimentSpec(
             campaign="_sweep_probe",
             n_trials=1,
-            base_params={"scheme": "efta"},
+            params={"scheme": "efta"},
             grid={"scheme": ["none", "decoupled"]},
         )
         assert [s.params["scheme"] for s in sweep.expand()] == ["none", "decoupled"]
 
     def test_empty_grid_is_single_campaign(self):
-        sweep = SweepSpec(campaign="_sweep_probe", n_trials=2)
+        sweep = ExperimentSpec(campaign="_sweep_probe", n_trials=2)
         assert sweep.points() == [{}]
         assert len(sweep.expand()) == 1
 
-    def test_empty_grid_runs_and_checkpoints_inside_directory(self, tmp_path):
-        sweep = SweepSpec(campaign="_sweep_probe", n_trials=2, name="lone")
-        result = run_sweep(sweep, results_dir=tmp_path)
-        assert len(result.entries) == 1
-        assert result.entries[0].result.n_trials == 2
-        assert (tmp_path / "000-lone.jsonl").exists()
+    def test_empty_grid_runs_and_checkpoints_to_one_file(self, tmp_path):
+        # A gridless spec is one campaign: its results path is a single
+        # checkpoint file, not a directory of per-point files.
+        sweep = ExperimentSpec(campaign="_sweep_probe", n_trials=2, name="lone")
+        out = tmp_path / "lone.jsonl"
+        result = run_experiment(sweep, results_path=out)
+        assert len(result.points) == 1
+        assert result.points[0].result.n_trials == 2
+        assert out.is_file()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".jsonl") == [
+            "lone.jsonl"
+        ]
+
+    def test_legacy_sweep_module_is_gone(self):
+        # ExperimentSpec + run_experiment is the one way to run a sweep.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.fault.sweep")
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(campaign="", n_trials=1)
+            ExperimentSpec(campaign="", n_trials=1)
         with pytest.raises(ValueError):
-            SweepSpec(campaign="x", n_trials=0)
+            ExperimentSpec(campaign="x", n_trials=0)
         with pytest.raises(ValueError):
-            SweepSpec(campaign="x", n_trials=1, grid={"a": []})
+            ExperimentSpec(campaign="x", n_trials=1, grid={"a": []})
         with pytest.raises(ValueError):
-            SweepSpec(campaign="x", n_trials=1, seed=-1)
+            ExperimentSpec(campaign="x", n_trials=1, seed=-1)
 
 
 class TestRoundTrip:
     def test_json_round_trip_is_lossless(self):
         sweep = _sweep()
-        assert SweepSpec.from_json(sweep.to_json()) == sweep
-        assert SweepSpec.from_dict(sweep.to_dict()) == sweep
+        assert ExperimentSpec.from_json(sweep.to_json()) == sweep
+        assert ExperimentSpec.from_dict(sweep.to_dict()) == sweep
         # Canonical form is stable (sorted keys, no whitespace).
-        assert sweep.to_json() == SweepSpec.from_json(sweep.to_json()).to_json()
+        assert sweep.to_json() == ExperimentSpec.from_json(sweep.to_json()).to_json()
 
     def test_round_trip_preserves_expansion(self):
         sweep = _sweep()
-        reloaded = SweepSpec.from_json(sweep.to_json())
+        reloaded = ExperimentSpec.from_json(sweep.to_json())
         assert [s.to_json() for s in reloaded.expand()] == [
             s.to_json() for s in sweep.expand()
         ]
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown SweepSpec fields"):
-            SweepSpec.from_dict({"campaign": "x", "n_trials": 1, "gird": {}})
+        with pytest.raises(ValueError, match="unknown ExperimentSpec fields"):
+            ExperimentSpec.from_dict({"campaign": "x", "n_trials": 1, "gird": {}})
 
     def test_from_dict_does_not_alias_caller_mutables(self):
         grid = {"scheme": ["none"]}
-        sweep = SweepSpec.from_dict({"campaign": "x", "n_trials": 1, "grid": grid})
+        sweep = ExperimentSpec.from_dict({"campaign": "x", "n_trials": 1, "grid": grid})
         grid["scheme"].append("efta")
         assert sweep.grid == {"scheme": ["none"]}
 
     def test_sweep_vs_campaign_spec_detection(self):
-        assert is_sweep_dict(json.loads(_sweep().to_json()))
-        assert not is_sweep_dict(
+        assert ExperimentSpec.from_dict(json.loads(_sweep().to_json())).is_sweep
+        assert not ExperimentSpec.from_dict(
             json.loads(CampaignSpec(campaign="x", n_trials=1).to_json())
-        )
+        ).is_sweep
 
 
 class TestRunAndResume:
     def test_run_sweep_aggregates_every_point(self, tmp_path):
-        result = run_sweep(_sweep(), results_dir=tmp_path)
-        assert len(result.entries) == 6
-        for entry in result.entries:
+        result = run_experiment(_sweep(), results_path=tmp_path)
+        assert len(result.points) == 6
+        for entry in result.points:
             assert entry.result.n_trials == 4
             assert entry.result.detection_rate == 1.0
         by_point = result.results_by_point()
         assert (1e-9, "none") in by_point
 
     def test_results_identical_with_and_without_checkpoints(self, tmp_path):
-        on_disk = run_sweep(_sweep(), results_dir=tmp_path)
-        in_memory = run_sweep(_sweep())
-        for a, b in zip(on_disk.entries, in_memory.entries):
+        on_disk = run_experiment(_sweep(), results_path=tmp_path)
+        in_memory = run_experiment(_sweep())
+        for a, b in zip(on_disk.points, in_memory.points):
             assert a.result.outcomes == b.result.outcomes
 
     def test_killed_sweep_resumes_without_rerunning_completed_campaigns(self, tmp_path):
         sweep = _sweep()
         # Simulate a sweep killed after two completed campaigns: run only the
         # first two expanded campaigns to completion.
-        from repro.fault.runner import CampaignRunner
-
         specs = sweep.expand()
         for index in range(2):
-            CampaignRunner(
+            run_experiment(
                 specs[index],
                 results_path=campaign_results_path(tmp_path, index, specs[index]),
-            ).run()
+            )
 
         _CALLS.clear()
-        result = run_sweep(sweep, results_dir=tmp_path)
+        result = run_experiment(sweep, results_path=tmp_path)
         # The two completed campaigns were loaded from their checkpoints; only
         # the remaining four ran trials (4 campaigns x 4 trials).
         assert len(_CALLS) == 4 * 4
         assert {c[0] for c in _CALLS} <= {"none", "efta_unified"}
-        assert len(result.entries) == 6
+        assert len(result.points) == 6
 
         # A second resume re-runs nothing at all.
         _CALLS.clear()
-        resumed = run_sweep(sweep, results_dir=tmp_path)
+        resumed = run_experiment(sweep, results_path=tmp_path)
         assert _CALLS == []
-        for a, b in zip(result.entries, resumed.entries):
+        for a, b in zip(result.points, resumed.points):
             assert a.result.outcomes == b.result.outcomes
 
     def test_merged_report_has_one_row_per_point(self, tmp_path):
-        result = run_sweep(_sweep())
+        result = run_experiment(_sweep())
         report = format_sweep_result(result)
         lines = report.splitlines()
         assert "sweep: grid-test" in lines[0]

@@ -1,5 +1,7 @@
 """Tests for the FP16 mixed-precision helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ class TestCasts:
     def test_fp16_max_saturates_to_inf(self):
         assert np.isinf(to_fp16(1e6))
 
+    def test_out_of_range_cast_saturates_without_warning(self):
+        # Saturation is the modelled half-precision range, not a numerical
+        # bug, so it must not raise the cast-overflow RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = to_fp16(np.array([7e4, -7e4, 1.0], dtype=np.float32))
+        np.testing.assert_array_equal(out, [np.inf, -np.inf, 1.0])
+
+    def test_repro_runtime_warnings_are_errors(self, pytestconfig):
+        assert "error::RuntimeWarning:repro" in pytestconfig.getini("filterwarnings")
+
     def test_fp16_constants(self):
         assert FP16_MAX == pytest.approx(65504.0)
         assert 0.0 < FP16_MIN_NORMAL < 1e-4
@@ -47,6 +60,18 @@ class TestCasts:
 
 
 class TestFp16Matmul:
+    def test_out_of_range_operand_saturates_without_warning(self):
+        # A flipped exponent bit can push an operand past FP16_MAX; the
+        # tensor-core input cast saturates it to inf, silently.  What the
+        # product then does with inf is the faulted caller's errstate.
+        a = np.array([[1e5, 1.0], [1.0, 1.0]], dtype=np.float32)
+        b = np.ones((2, 2), dtype=np.float32)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            out = fp16_matmul(a, b)
+        assert np.isinf(out[0]).all()
+        np.testing.assert_array_equal(out[1], [2.0, 2.0])
+
     def test_matches_exact_for_representable_values(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         b = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.float32)

@@ -67,11 +67,21 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(out, expected, rtol=2e-2, atol=2e-2)
 
     def test_protected_and_unprotected_agree(self, rng):
-        mha = MultiHeadAttention(hidden_dim=16, num_heads=2, seq_len=16, rng=rng, attention_block_size=8)
+        def build(scheme):
+            return MultiHeadAttention(
+                hidden_dim=16,
+                num_heads=2,
+                seq_len=16,
+                rng=np.random.default_rng(0),
+                attention_block_size=8,
+                scheme=scheme,
+            )
+
         x = rng.standard_normal((1, 16, 16)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            unprotected = mha(x, protected=False)
-        np.testing.assert_allclose(mha(x), unprotected, rtol=2e-2, atol=2e-2)
+        protected = build("efta_unified")
+        unprotected = build("none")
+        np.testing.assert_array_equal(protected.q_proj.weight, unprotected.q_proj.weight)
+        np.testing.assert_allclose(protected(x), unprotected(x), rtol=2e-2, atol=2e-2)
 
     def test_report_aggregates_attention_events(self, rng):
         mha = MultiHeadAttention(hidden_dim=16, num_heads=2, seq_len=16, rng=rng, attention_block_size=8)

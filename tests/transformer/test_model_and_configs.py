@@ -80,10 +80,11 @@ class TestTransformerModel:
         assert out.report.clean
 
     def test_protected_close_to_unprotected(self, tiny_model, tiny_ids):
-        _, model = tiny_model
+        cfg, model = tiny_model
         protected = model(tiny_ids)
-        with pytest.warns(DeprecationWarning):
-            unprotected = model(tiny_ids, protected=False)
+        unprotected = TransformerModel(cfg, seed=0, attention_block_size=16, scheme="none")(
+            tiny_ids
+        )
         np.testing.assert_allclose(
             protected.logits, unprotected.logits, rtol=5e-2, atol=5e-2
         )
@@ -182,23 +183,12 @@ class TestSchemeSelection:
         with pytest.raises(ValueError, match="unknown protection scheme"):
             TransformerModel(cfg, scheme="bogus", attention_block_size=8)
 
-    def test_deprecated_unified_verification_maps_to_scheme(self, prompt):
-        cfg, ids = prompt
-        with pytest.warns(DeprecationWarning):
-            legacy = TransformerModel(
-                cfg, seed=5, attention_block_size=8, unified_verification=False
-            )
-        assert legacy.scheme_name == "efta"
-        modern = TransformerModel(cfg, seed=5, attention_block_size=8, scheme="efta")
-        np.testing.assert_array_equal(legacy(ids).logits, modern(ids).logits)
-
-    def test_deprecated_protected_false_matches_scheme_none(self, prompt):
-        cfg, ids = prompt
-        model = TransformerModel(cfg, seed=5, attention_block_size=8)
-        with pytest.warns(DeprecationWarning):
-            legacy = model(ids, protected=False)
-        unprotected = TransformerModel(cfg, seed=5, attention_block_size=8, scheme="none")
-        np.testing.assert_array_equal(legacy.logits, unprotected(ids).logits)
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scheme_rejected_at_construction(self, prompt, flag):
+        # The scheme is a registry name; the old bool flag is not mapped.
+        cfg, _ = prompt
+        with pytest.raises(ValueError, match="unknown protection scheme"):
+            TransformerModel(cfg, scheme=flag, attention_block_size=8)
 
     def test_scheme_none_skips_all_verification(self, prompt):
         cfg, ids = prompt
