@@ -151,8 +151,7 @@ class StridedABFT:
     ) -> list[ChecksumVerdict]:
         """Per-trial :meth:`verify_output` over a stacked ``(trials, ...)`` block.
 
-        Detection is one stacked pass; flagged trials correct in place through
-        slice views of ``o_block`` (see
+        One stacked pass corrects ``o_block`` in place (see
         :func:`repro.gemm.checksum.verify_strided_checksums_stacked`).
         """
         return verify_strided_checksums_stacked(

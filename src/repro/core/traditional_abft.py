@@ -13,6 +13,7 @@ import numpy as np
 from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import (
     ChecksumVerdict,
+    _threshold,
     encode_column_checksums,
     encode_row_checksums,
     verify_column_checksums,
@@ -95,10 +96,11 @@ def protected_matmul_stacked(
     """:func:`protected_matmul` over a stacked ``(trials, m, k)`` batch.
 
     The product runs as one batched-last-two-dims matmul (each trial's slice
-    is bitwise the scalar 2-D product); the checksum encodings, checksum
-    products and the verification stay per trial, in the scalar call order,
-    on slice views -- so in-place corrections land in the stacked product and
-    every verdict matches the scalar one.  ``router`` fans the single
+    is bitwise the scalar 2-D product); the checksum encodings and checksum
+    products stay per trial, in the scalar call order.  Detection runs once
+    over the stack, and only flagged trials are verified, on slice views --
+    so in-place corrections land in the stacked product and every verdict
+    matches the scalar one.  ``router`` fans the single
     post-GEMM ``corrupt`` offer out to each trial's injector on its slice.
     """
     a = np.asarray(a, dtype=np.float32)
@@ -129,8 +131,25 @@ def protected_matmul_stacked(
 
     router.corrupt(site, c)
 
+    # Detection runs once over the stack.  A finite trial whose column and
+    # row residuals are all within threshold gets the verdict the scalar pair
+    # returns when it corrects nothing; any other trial (a non-finite one too:
+    # Python's max of NaNs depends on argument order) runs the scalar pair.
+    mag = np.abs(c)
+    col_res = np.abs(np.stack([chk[0] for chk in checks]) - c.sum(axis=1, dtype=np.float64))
+    row_res = np.abs(np.stack([chk[2] for chk in checks]) - c.sum(axis=2, dtype=np.float64))
+    clean = (
+        np.isfinite(c).all(axis=(1, 2))
+        & (col_res <= _threshold(mag.sum(axis=1, dtype=np.float64), atol, rtol)).all(axis=1)
+        & (row_res <= _threshold(mag.sum(axis=2, dtype=np.float64), atol, rtol)).all(axis=1)
+    )
+    clean_max = np.maximum(col_res.max(axis=1, initial=0.0), row_res.max(axis=1, initial=0.0))
+
     verdicts = []
     for t, (c_col1, c_col2, c_row1, c_row2) in enumerate(checks):
+        if clean[t]:
+            verdicts.append(ChecksumVerdict(max_residual=float(clean_max[t])))
+            continue
         verdict = verify_column_checksums(c[t], c_col1, c_col2, atol=atol, rtol=rtol)
         verdict.merge(verify_row_checksums(c[t], c_row1, c_row2, atol=atol, rtol=rtol))
         verdicts.append(verdict)

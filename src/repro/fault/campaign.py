@@ -33,6 +33,7 @@ from repro.gemm.checksum import (
     encode_column_checksums,
     verify_column_checksums,
     verify_strided_checksums,
+    verify_strided_checksums_stacked,
 )
 
 
@@ -50,20 +51,63 @@ def faulted_errstate():
 # --------------------------------------------------------------------------- #
 # Figure 12 (left): error coverage of tensor vs element checksums under BER
 # --------------------------------------------------------------------------- #
-@register_campaign("abft_error_coverage")
-def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
-    """One coverage trial: burst fault events against one ABFT scheme."""
+def _coverage_params(params: dict) -> tuple[str, float, int, int, int, int, float]:
+    """``(scheme, bit_error_rate, rows, cols, depth, stride, rtol)`` of a coverage trial."""
     scheme = params.get("scheme", "tensor")
     if scheme not in ("tensor", "element"):
         raise ValueError("scheme must be 'tensor' or 'element'")
-    bit_error_rate = float(params["bit_error_rate"])
-    rows = int(params.get("rows", 128))
-    cols = int(params.get("cols", 128))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    rtol = float(params.get("rtol", 0.02))
-    atol = 1e-5
+    return (
+        scheme,
+        float(params["bit_error_rate"]),
+        int(params.get("rows", 128)),
+        int(params.get("cols", 128)),
+        int(params.get("depth", 64)),
+        int(params.get("stride", 8)),
+        float(params.get("rtol", 0.02)),
+    )
+
+
+def _inject_bursts(rng, faulty: np.ndarray, bit_error_rate: float, depth: int, stride: int) -> list:
+    """Draw one trial's burst events and flip their bits in ``faulty`` (rows x cols) in place."""
+    rows, cols = faulty.shape
     compute_bits = rows * cols * depth * 2 * 16
+    n_events = max(1, int(rng.poisson(bit_error_rate * compute_bits)))
+    events: list[list[tuple[int, int]]] = []
+    for _ in range(n_events):
+        row = int(rng.integers(rows))
+        start = int(rng.integers(cols))
+        length = int(min(1 + rng.geometric(0.6), stride, cols - start))
+        positions = [(row, start + offset) for offset in range(length)]
+        for pos in positions:
+            bit = int(rng.integers(8, 16))  # high mantissa / exponent / sign
+            faulty[pos] = flip_bit(float(faulty[pos]), bit, np.float16)
+        events.append(positions)
+    return events
+
+
+def _coverage_record(events: list, reference: np.ndarray, faulty: np.ndarray, rtol: float, stride: int) -> dict:
+    """A verified trial's record: an event is corrected when all its elements are back near the reference."""
+    noise_floor = rtol * float(np.abs(reference).mean()) * stride
+    corrected_events = 0
+    for positions in events:
+        if all(abs(faulty[pos] - reference[pos]) <= noise_floor for pos in positions):
+            corrected_events += 1
+    rel_err = float(
+        np.max(np.abs(faulty - reference)) / max(np.max(np.abs(reference)), 1e-12)
+    )
+    return TrialOutcome(
+        injected=len(events),
+        detected=len(events),
+        corrected=corrected_events,
+        output_rel_error=rel_err,
+    ).to_dict()
+
+
+@register_campaign("abft_error_coverage")
+def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
+    """One coverage trial: burst fault events against one ABFT scheme."""
+    scheme, bit_error_rate, rows, cols, depth, stride, rtol = _coverage_params(params)
+    atol = 1e-5
 
     q = rng.standard_normal((rows, depth)).astype(np.float32)
     k = rng.standard_normal((cols, depth)).astype(np.float32)
@@ -78,17 +122,7 @@ def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
         col_check1 = fp16_matmul(ca1[None, :], k.T)[0]
         col_check2 = fp16_matmul(ca2[None, :], k.T)[0]
 
-    n_events = max(1, int(rng.poisson(bit_error_rate * compute_bits)))
-    events: list[list[tuple[int, int]]] = []
-    for _ in range(n_events):
-        row = int(rng.integers(rows))
-        start = int(rng.integers(cols))
-        length = int(min(1 + rng.geometric(0.6), stride, cols - start))
-        positions = [(row, start + offset) for offset in range(length)]
-        for pos in positions:
-            bit = int(rng.integers(8, 16))  # high mantissa / exponent / sign
-            corrupted[pos] = flip_bit(float(corrupted[pos]), bit, np.float16)
-        events.append(positions)
+    events = _inject_bursts(rng, corrupted, bit_error_rate, depth, stride)
 
     if scheme == "tensor":
         verify_strided_checksums(
@@ -96,100 +130,47 @@ def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
         )
     else:
         verify_column_checksums(corrupted, col_check1, col_check2, atol=atol, rtol=rtol)
-
-    noise_floor = rtol * float(np.abs(reference).mean()) * stride
-    corrected_events = 0
-    for positions in events:
-        if all(abs(corrupted[pos] - reference[pos]) <= noise_floor for pos in positions):
-            corrected_events += 1
-    rel_err = float(
-        np.max(np.abs(corrupted - reference)) / max(np.max(np.abs(reference)), 1e-12)
-    )
-    return TrialOutcome(
-        injected=n_events,
-        detected=n_events,
-        corrected=corrected_events,
-        output_rel_error=rel_err,
-    ).to_dict()
+    return _coverage_record(events, reference, corrupted, rtol, stride)
 
 
 @register_campaign_batch("abft_error_coverage")
 def _abft_error_coverage_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched coverage trials: the reference GEMM runs once, stacked over trials.
+    """Batched coverage trials: the GEMMs and the strided verify run stacked over trials.
 
     Each trial draws from its own generator in the scalar kernel's exact
     order (q, then k, then the event stream), so the records are byte
-    identical to running the scalar kernel per trial; only the reference
-    score GEMM is fused into one stacked tensor op.
+    identical to running the scalar kernel per trial.  Verification draws
+    nothing, so every trial's events are drawn first and the whole stack is
+    then verified in one call (the element scheme still verifies per trial).
     """
-    scheme = params.get("scheme", "tensor")
-    if scheme not in ("tensor", "element"):
-        raise ValueError("scheme must be 'tensor' or 'element'")
-    bit_error_rate = float(params["bit_error_rate"])
-    rows = int(params.get("rows", 128))
-    cols = int(params.get("cols", 128))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    rtol = float(params.get("rtol", 0.02))
+    scheme, bit_error_rate, rows, cols, depth, stride, rtol = _coverage_params(params)
     atol = 1e-5
-    compute_bits = rows * cols * depth * 2 * 16
 
     qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
     ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
     references = fp16_matmul(qs, ks.transpose(0, 2, 1))
     corrupted = references.copy()
+    trial_events = [
+        _inject_bursts(rng, faulty, bit_error_rate, depth, stride)
+        for rng, faulty in zip(rngs, corrupted)
+    ]
 
-    records = []
-    for t, rng in enumerate(rngs):
-        q, k = qs[t], ks[t]
-        reference = references[t]
-        faulty = corrupted[t]
-        if scheme == "tensor":
-            abft = StridedABFT(
-                AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-            )
-            checksums = abft.score_block_checksums(q, k, scale=1.0)
-        else:
+    if scheme == "tensor":
+        abft = StridedABFT(AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride))
+        checksums = abft.score_block_checksums(qs, ks, scale=1.0)
+        verify_strided_checksums_stacked(
+            corrupted, checksums.check1, checksums.check2, stride=stride, atol=atol, rtol=rtol
+        )
+    else:
+        for q, k, faulty in zip(qs, ks, corrupted):
             ca1, ca2 = encode_column_checksums(q)
             col_check1 = fp16_matmul(ca1[None, :], k.T)[0]
             col_check2 = fp16_matmul(ca2[None, :], k.T)[0]
-
-        n_events = max(1, int(rng.poisson(bit_error_rate * compute_bits)))
-        events: list[list[tuple[int, int]]] = []
-        for _ in range(n_events):
-            row = int(rng.integers(rows))
-            start = int(rng.integers(cols))
-            length = int(min(1 + rng.geometric(0.6), stride, cols - start))
-            positions = [(row, start + offset) for offset in range(length)]
-            for pos in positions:
-                bit = int(rng.integers(8, 16))
-                faulty[pos] = flip_bit(float(faulty[pos]), bit, np.float16)
-            events.append(positions)
-
-        if scheme == "tensor":
-            verify_strided_checksums(
-                faulty, checksums.check1, checksums.check2, stride=stride, atol=atol, rtol=rtol
-            )
-        else:
             verify_column_checksums(faulty, col_check1, col_check2, atol=atol, rtol=rtol)
-
-        noise_floor = rtol * float(np.abs(reference).mean()) * stride
-        corrected_events = 0
-        for positions in events:
-            if all(abs(faulty[pos] - reference[pos]) <= noise_floor for pos in positions):
-                corrected_events += 1
-        rel_err = float(
-            np.max(np.abs(faulty - reference)) / max(np.max(np.abs(reference)), 1e-12)
-        )
-        records.append(
-            TrialOutcome(
-                injected=n_events,
-                detected=n_events,
-                corrected=corrected_events,
-                output_rel_error=rel_err,
-            ).to_dict()
-        )
-    return records
+    return [
+        _coverage_record(events, reference, faulty, rtol, stride)
+        for events, reference, faulty in zip(trial_events, references, corrupted)
+    ]
 
 
 def abft_error_coverage(

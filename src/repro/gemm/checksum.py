@@ -29,7 +29,13 @@ import numpy as np
 
 @dataclass
 class Correction:
-    """One applied (or attempted) correction."""
+    """One applied correction: ``delta`` was added to the element at (row, col).
+
+    The strided verify repairs a non-finite element that is alone in its
+    stride class by overwriting it from the class checksum, so that
+    correction records ``delta=nan``.  Two or more non-finite elements in one
+    class are uncorrectable and get no correction.
+    """
 
     row: int
     col: int
@@ -149,30 +155,13 @@ def verify_row_checksums(
     atol: float = 1e-3,
     rtol: float = 0.0,
 ) -> ChecksumVerdict:
-    """Verify/correct ``C`` (M x N) against row checksums of shape (M,)."""
-    c = np.asarray(c)
-    sum1 = c.sum(axis=1, dtype=np.float64)
-    sum2 = (c * np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :]).sum(axis=1)
-    res1 = np.asarray(r_check1, dtype=np.float64) - sum1
-    res2 = np.asarray(r_check2, dtype=np.float64) - sum2
-    verdict = ChecksumVerdict()
-    verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
-    magnitude = np.abs(c).sum(axis=1, dtype=np.float64)
-    thresh = _threshold(magnitude, atol, rtol)
-    bad_rows = np.nonzero(np.abs(res1) > thresh)[0]
-    verdict.detected = int(bad_rows.size)
-    for i in bad_rows:
-        if abs(res1[i]) < np.finfo(np.float64).tiny:
-            verdict.uncorrectable += 1
-            continue
-        col_f = res2[i] / res1[i]
-        col = int(round(col_f)) - 1
-        if not 0 <= col < c.shape[1] or abs(col_f - round(col_f)) > 0.25:
-            verdict.uncorrectable += 1
-            continue
-        delta = res1[i]
-        c[i, col] += delta
-        verdict.corrections.append(Correction(row=int(i), col=col, delta=float(delta)))
+    """Verify/correct ``C`` (M x N) against row checksums of shape (M,).
+
+    This is the column verify of the view ``C^T``: it corrects ``C`` in place
+    and its sums are bitwise the row sums, as they reduce the same memory.
+    """
+    verdict = verify_column_checksums(np.asarray(c).T, r_check1, r_check2, atol=atol, rtol=rtol)
+    verdict.corrections = [Correction(row=x.col, col=x.row, delta=x.delta) for x in verdict.corrections]
     return verdict
 
 
@@ -181,6 +170,19 @@ def verify_row_checksums(
 # --------------------------------------------------------------------------- #
 def _num_groups(cols: int, stride: int) -> int:
     return -(-cols // stride)
+
+
+def _fold(x: np.ndarray, stride: int, dtype, weighted: bool = False) -> np.ndarray:
+    """``sum_l x[..., j + l*stride]`` in ``dtype``, each term weighted by ``l + 1`` if ``weighted``.
+
+    Columns beyond the extent contribute zero.  Leading dims (e.g. a stacked
+    trial axis) broadcast through: each slice's fold is bitwise its 2D fold.
+    """
+    total = np.zeros(x.shape[:-1] + (stride,), dtype=dtype)
+    for l in range(_num_groups(x.shape[-1], stride)):
+        chunk = x[..., l * stride : (l + 1) * stride].astype(dtype, copy=False)
+        total[..., : chunk.shape[-1]] += dtype(l + 1) * chunk if weighted else chunk
+    return total
 
 
 def encode_strided_row_checksums(
@@ -195,40 +197,50 @@ def encode_strided_row_checksums(
     tails).
     """
     kt = np.asarray(kt, dtype=np.float32)
-    cols = kt.shape[-1]
-    groups = _num_groups(cols, stride)
-    # Any number of leading dims is supported (a stacked trial axis folds the
-    # same groups per slice); the fold is elementwise per column group, so the
-    # stacked result's slices are bitwise the 2D encodings.
-    check1 = np.zeros(kt.shape[:-1] + (stride,), dtype=np.float32)
-    check2 = np.zeros(kt.shape[:-1] + (stride,), dtype=np.float32)
-    for l in range(groups):
-        chunk = kt[..., l * stride : (l + 1) * stride]
-        width = chunk.shape[-1]
-        check1[..., :width] += chunk
-        check2[..., :width] += np.float32(l + 1) * chunk
-    return check1, check2
+    return _fold(kt, stride, np.float32), _fold(kt, stride, np.float32, weighted=True)
 
 
 def strided_sums(s: np.ndarray, stride: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Strided column sums of ``S`` (Br x Bc) matching the tensor checksums.
 
     Returns ``(sum1, sum2)`` of shape (Br, stride): ``sum1[i, j] =
-    sum_l S[i, j + l*stride]`` and ``sum2`` with weight ``l + 1``.
+    sum_l S[i, j + l*stride]`` and ``sum2`` with weight ``l + 1``, in float64.
     """
     s = np.asarray(s)
+    return _fold(s, stride, np.float64), _fold(s, stride, np.float64, weighted=True)
+
+
+def _weighted_sum_at(s: np.ndarray, t, i, j, stride: int) -> np.ndarray:
+    """``strided_sums(s)[1][t, i, j]`` for the listed (trial, row, class) entries only."""
     cols = s.shape[-1]
-    groups = _num_groups(cols, stride)
-    # Leading dims beyond the row axis (e.g. a stacked trial axis) broadcast
-    # through unchanged: the accumulation per slice is the 2D accumulation.
-    sum1 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
-    sum2 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
-    for l in range(groups):
-        chunk = s[..., l * stride : (l + 1) * stride].astype(np.float64)
-        width = chunk.shape[-1]
-        sum1[..., :width] += chunk
-        sum2[..., :width] += (l + 1) * chunk
-    return sum1, sum2
+    total = np.zeros(len(t), dtype=np.float64)
+    for l in range(_num_groups(cols, stride)):
+        col = j + l * stride
+        inside = col < cols
+        total[inside] += (l + 1) * s[t[inside], i[inside], col[inside]].astype(np.float64)
+    return total
+
+
+def _repair_lone_nonfinite(s: np.ndarray, check1: np.ndarray, lone: np.ndarray, stride: int) -> None:
+    """Overwrite each listed non-finite ``S[t, i, j]`` with ``check1 - sum of its finite class-mates``.
+
+    Every listed element is the only non-finite value of its class, so no
+    repair reads another's result.  The class-mates of each element are
+    gathered in column order and summed along a contiguous axis, which is the
+    summation ``np.sum`` performs on one element's class-mates alone.
+    """
+    t, i, j = lone.T
+    cls = j % stride
+    members = (s.shape[-1] - cls + stride - 1) // stride
+    repaired = np.empty(len(t), dtype=np.float64)
+    # A ragged tail leaves later classes one member short: gather per size.
+    for size in np.unique(members):
+        sel = np.nonzero(members == size)[0]
+        class_cols = cls[sel, None] + stride * np.arange(size)
+        mates = class_cols[class_cols != j[sel, None]].reshape(len(sel), size - 1)
+        mate_sums = s[t[sel, None], i[sel, None], mates].sum(axis=1, dtype=np.float64)
+        repaired[sel] = check1[t[sel], i[sel], cls[sel]] - mate_sums
+    s[t, i, j] = repaired
 
 
 def verify_strided_checksums(
@@ -250,6 +262,15 @@ def verify_strided_checksums(
     classes of the same row are corrected independently, which is the source
     of the coverage advantage over single-column checksums.
 
+    Non-finite elements (a bit flip can turn an FP16 value into NaN/Inf)
+    poison every sum they touch, so they are handled first, per stride class.
+    A non-finite element that is alone in its class is repaired as the class
+    checksum minus the sum of its finite class-mates; it counts as detected
+    and corrected, with ``delta=nan`` in its :class:`Correction`.  Two or more
+    non-finite elements in one class cannot be told apart: each counts as
+    detected and uncorrectable and is left as it is.  A residual whose
+    group ratio is not finite is uncorrectable too.
+
     ``magnitude`` optionally overrides the per-class reference magnitude the
     relative threshold is taken against.  By default it is the strided sum of
     ``|S|`` itself, which is correct when ``S`` was computed in one GEMM; a
@@ -257,60 +278,9 @@ def verify_strided_checksums(
     the values folded into it stay O(1), in which case the caller must supply
     the accumulated magnitude to keep round-off below threshold.
     """
-    s = np.asarray(s)
-    rows, cols = s.shape
-    groups = _num_groups(cols, stride)
-    verdict = ChecksumVerdict()
-
-    # Non-finite elements (a bit flip can turn an FP16 value into NaN/Inf)
-    # poison every sum they touch, so they are repaired first: with a single
-    # corrupted element per stride class, the correct value is the checksum
-    # minus the sum of the remaining (finite) elements of that class.
-    nonfinite = ~np.isfinite(s)
-    if nonfinite.any():
-        check1 = np.asarray(s_check1, dtype=np.float64)
-        for i, j in np.argwhere(nonfinite):
-            cls = j % stride
-            class_cols = np.arange(cls, cols, stride)
-            others = class_cols[class_cols != j]
-            if np.all(np.isfinite(s[i, others])):
-                verdict.detected += 1
-                repaired = check1[i, cls] - float(np.sum(s[i, others], dtype=np.float64))
-                delta = repaired - float(s[i, j]) if np.isfinite(s[i, j]) else float("nan")
-                s[i, j] = repaired
-                verdict.corrections.append(Correction(row=int(i), col=int(j), delta=delta))
-            else:
-                verdict.detected += 1
-                verdict.uncorrectable += 1
-
-    sum1, sum2 = strided_sums(s, stride)
-    res1 = np.asarray(s_check1, dtype=np.float64) - sum1
-    res2 = np.asarray(s_check2, dtype=np.float64) - sum2
-    verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
-    if magnitude is None:
-        magnitude, _ = strided_sums(np.abs(s), stride)
-    else:
-        magnitude = np.maximum(np.asarray(magnitude, dtype=np.float64), strided_sums(np.abs(s), stride)[0])
-    thresh = _threshold(magnitude, atol, rtol)
-    bad = np.argwhere(np.abs(res1) > thresh)
-    # Add to (not overwrite) the detections already recorded by the
-    # non-finite repair above: a repaired NaN no longer exceeds the threshold
-    # here, but it was detected.
-    verdict.detected += int(bad.shape[0])
-    for i, j in bad:
-        if abs(res1[i, j]) < np.finfo(np.float64).tiny:
-            verdict.uncorrectable += 1
-            continue
-        group_f = res2[i, j] / res1[i, j]
-        group = int(round(group_f)) - 1
-        col = j + stride * group
-        if not 0 <= group < groups or col >= cols or abs(group_f - round(group_f)) > 0.25:
-            verdict.uncorrectable += 1
-            continue
-        delta = res1[i, j]
-        s[i, col] += delta
-        verdict.corrections.append(Correction(row=int(i), col=int(col), delta=float(delta)))
-    return verdict
+    return verify_strided_checksums_stacked(
+        np.asarray(s)[None], s_check1, s_check2, stride=stride, atol=atol, rtol=rtol, magnitude=magnitude
+    )[0]
 
 
 def verify_strided_checksums_stacked(
@@ -322,51 +292,77 @@ def verify_strided_checksums_stacked(
     rtol: float = 0.0,
     magnitude: np.ndarray | None = None,
 ) -> list[ChecksumVerdict]:
-    """Per-trial verify/correct of a stacked ``S`` (T x Br x Bc), in place.
+    """Per-trial :func:`verify_strided_checksums` of a stacked ``S`` (T x Br x Bc), in place.
 
-    Detection runs once over the stacked residuals (the float64 strided sums
-    of a stacked array are bitwise the per-slice 2D sums).  A trial that is
-    entirely finite with every residual under threshold gets a synthesized
-    clean verdict -- bitwise what :func:`verify_strided_checksums` returns
-    when it corrects nothing, without re-touching ``S``.  Every flagged trial
-    falls back to the scalar routine on its own slice *view*, so the
-    non-finite repair, the in-place corrections and the verdict bookkeeping
-    are exactly the scalar path's, and the corrections land in the stacked
-    array.
+    The checksums (and ``magnitude``, if given) carry the same leading trial
+    axis, or broadcast against it.  Every step runs over the whole stack at
+    once, indexed by (trial, row, class): the non-finite triage and repair,
+    one float64 strided sum each for the residual and the magnitude floor,
+    and the residual corrections, whose weighted sums are taken only at the
+    classes over threshold.  The verdicts, and the corrected ``S``, are
+    bitwise those of correcting each slice on its own.
     """
     s = np.asarray(s)
-    n_trials = s.shape[0]
-    finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
-    sum1, _ = strided_sums(s, stride)
-    res1 = np.asarray(s_check1, dtype=np.float64) - sum1
-    if magnitude is None:
-        mag = strided_sums(np.abs(s), stride)[0]
-    else:
-        mag = np.maximum(
-            np.asarray(magnitude, dtype=np.float64), strided_sums(np.abs(s), stride)[0]
-        )
-    over = np.abs(res1) > _threshold(mag, atol, rtol)
-    flagged = ~finite | over.reshape(n_trials, -1).any(axis=1)
+    n_trials, rows, cols = s.shape
+    groups = _num_groups(cols, stride)
+    detected = np.zeros(n_trials, dtype=np.int64)
+    uncorrectable = np.zeros(n_trials, dtype=np.int64)
+    check1 = np.broadcast_to(np.asarray(s_check1, dtype=np.float64), (n_trials, rows, stride))
 
-    verdicts: list[ChecksumVerdict] = []
-    for t in range(n_trials):
-        if not flagged[t]:
-            verdict = ChecksumVerdict()
-            verdict.max_residual = float(np.max(np.abs(res1[t]))) if res1[t].size else 0.0
-            verdicts.append(verdict)
-            continue
-        # The slice views keep the scalar routine's in-place semantics; the
-        # original (pre-maximum) magnitude slice is forwarded because the
-        # scalar routine applies the strided |S| floor itself.
-        verdicts.append(
-            verify_strided_checksums(
-                s[t],
-                s_check1[t],
-                s_check2[t],
-                stride=stride,
-                atol=atol,
-                rtol=rtol,
-                magnitude=None if magnitude is None else magnitude[t],
+    nonfinite = ~np.isfinite(s)
+    lone = np.empty((0, 3), dtype=np.intp)
+    if nonfinite.any():
+        padded = np.pad(nonfinite, ((0, 0), (0, 0), (0, groups * stride - cols)))
+        per_class = padded.reshape(n_trials, rows, groups, stride).sum(axis=2)
+        detected += per_class.sum(axis=(1, 2))
+        uncorrectable += np.where(per_class >= 2, per_class, 0).sum(axis=(1, 2))
+        lone = np.argwhere(nonfinite & (per_class == 1)[..., np.arange(cols) % stride])
+        if len(lone):
+            _repair_lone_nonfinite(s, check1, lone, stride)
+
+    res1 = check1 - _fold(s, stride, np.float64)
+    abs_res1 = np.abs(res1)
+    max_residual = (
+        abs_res1.reshape(n_trials, -1).max(axis=1) if rows * stride else np.zeros(n_trials)
+    )
+    floor = _fold(np.abs(s), stride, np.float64)
+    mag = floor if magnitude is None else np.maximum(np.asarray(magnitude, dtype=np.float64), floor)
+    bad = np.argwhere(abs_res1 > _threshold(mag, atol, rtol))
+    detected += np.bincount(bad[:, 0], minlength=n_trials)
+
+    fixed = np.empty((0, 3), dtype=np.intp)
+    deltas = np.empty(0, dtype=np.float64)
+    if len(bad):
+        t, i, j = bad.T
+        r1 = res1[t, i, j]
+        check2 = np.broadcast_to(np.asarray(s_check2, dtype=np.float64), (n_trials, rows, stride))
+        r2 = check2[t, i, j] - _weighted_sum_at(s, t, i, j, stride)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            group_f = r2 / r1
+            nearest = np.round(group_f)
+            col = j + stride * (nearest - 1)
+            ok = (
+                (np.abs(r1) >= np.finfo(np.float64).tiny)
+                & (nearest >= 1)
+                & (nearest <= groups)
+                & (col < cols)
+                & (np.abs(group_f - nearest) <= 0.25)
             )
+        uncorrectable += np.bincount(t[~ok], minlength=n_trials)
+        fixed = np.stack([t[ok], i[ok], col[ok].astype(np.intp)], axis=1)
+        deltas = r1[ok]
+        s[fixed[:, 0], fixed[:, 1], fixed[:, 2]] += deltas
+
+    verdicts = [
+        ChecksumVerdict(
+            detected=int(detected[n]),
+            uncorrectable=int(uncorrectable[n]),
+            max_residual=float(max_residual[n]),
         )
+        for n in range(n_trials)
+    ]
+    for n, row, col in lone:
+        verdicts[n].corrections.append(Correction(row=int(row), col=int(col), delta=float("nan")))
+    for (n, row, col), delta in zip(fixed, deltas):
+        verdicts[n].corrections.append(Correction(row=int(row), col=int(col), delta=float(delta)))
     return verdicts

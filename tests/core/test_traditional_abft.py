@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.traditional_abft import protected_matmul
+from repro.core.traditional_abft import protected_matmul, protected_matmul_stacked
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 
@@ -67,6 +67,62 @@ class TestProtectedMatmul:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             protected_matmul(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)))
+
+
+class _Edits:
+    """Applies fixed per-trial edits to the offered product (a stand-in injector/router)."""
+
+    def __init__(self, edits):
+        self.edits = edits
+
+    def corrupt(self, site, array, block=None):
+        for t, (pos, value) in self.edits:
+            target = array[t] if array.ndim == 3 else array
+            target[pos] = value
+
+
+class TestProtectedMatmulStacked:
+    # Per-trial edit of the product: none, a locatable error, a sub-threshold
+    # one, two errors in one column, and non-finite values.
+    EDITS = [
+        None,
+        ((3, 5), 50.0),
+        ((1, 1), 1e-6),
+        None,
+        ((2, 7), np.nan),
+        ((0, 0), np.inf),
+        ((4, 2), -np.inf),
+    ]
+
+    def test_verdicts_and_bytes_match_scalar(self, rng):
+        n = len(self.EDITS)
+        a = rng.standard_normal((n, 12, 16)).astype(np.float32)
+        b = rng.standard_normal((n, 16, 10)).astype(np.float32)
+        stacked_edits = [(t, e) for t, e in enumerate(self.EDITS) if e is not None]
+        c, verdicts = protected_matmul_stacked(a, b, _Edits(stacked_edits), scale=0.5)
+        for t, edit in enumerate(self.EDITS):
+            edits = _Edits([] if edit is None else [(0, edit)])
+            want_c, want = protected_matmul(a[t], b[t], scale=0.5, injector=edits)
+            assert c[t].tobytes() == want_c.tobytes()
+            got = verdicts[t]
+            assert (got.detected, got.uncorrectable, got.corrections) == (
+                want.detected,
+                want.uncorrectable,
+                want.corrections,
+            )
+            assert np.float64(got.max_residual).tobytes() == np.float64(want.max_residual).tobytes()
+
+    def test_two_errors_in_one_column_also_match(self, rng):
+        a = rng.standard_normal((2, 8, 8)).astype(np.float32)
+        b = rng.standard_normal((2, 8, 8)).astype(np.float32)
+        edits = [(1, ((2, 3), 40.0)), (1, ((6, 3), -25.0))]
+        c, verdicts = protected_matmul_stacked(a, b, _Edits(edits))
+        for t in range(2):
+            want_c, want = protected_matmul(
+                a[t], b[t], injector=_Edits([(0, e) for u, e in edits if u == t])
+            )
+            assert c[t].tobytes() == want_c.tobytes()
+            assert verdicts[t] == want
 
 
 class TestDMRSoftmax:
