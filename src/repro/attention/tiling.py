@@ -21,17 +21,17 @@ def partition_blocks(seq_len: int, block_size: int) -> Iterator[slice]:
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """Reshape ``(batch, seq, hidden)`` into ``(batch, heads, seq, head_dim)``."""
+    """Reshape ``(..., seq, hidden)`` into ``(..., heads, seq, head_dim)``."""
     x = np.asarray(x)
-    batch, seq, hidden = x.shape
+    *lead, seq, hidden = x.shape
     if hidden % heads:
         raise ValueError(f"hidden dim {hidden} not divisible by heads {heads}")
     head_dim = hidden // heads
-    return x.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+    return x.reshape(*lead, seq, heads, head_dim).swapaxes(-2, -3)
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_heads`: ``(batch, heads, seq, head_dim)`` -> ``(batch, seq, hidden)``."""
+    """Inverse of :func:`split_heads`: ``(..., heads, seq, head_dim)`` -> ``(..., seq, hidden)``."""
     x = np.asarray(x)
-    batch, heads, seq, head_dim = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+    *lead, heads, seq, head_dim = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, seq, heads * head_dim)

@@ -16,7 +16,8 @@ Modules
   (EFTA-opt in Tables 1 and 2).
 * :mod:`repro.core.schemes` -- the pluggable protection-scheme registry
   (``"none"``, ``"efta"``, ``"efta_unified"``, ``"decoupled"``) giving every
-  variant one ``forward``/``cost_breakdown`` interface selected by name.
+  variant one ``forward_batched``/``cost_breakdown`` interface selected by
+  name; ``forward`` is the one-trial call of ``forward_batched``.
 """
 
 from repro.core.config import AttentionConfig, FaultToleranceReport

@@ -1,10 +1,14 @@
-"""Configuration of the protected attention kernels and the fault-tolerance report."""
+"""Configuration of the protected attention kernels, the fault-tolerance report,
+and the one-trial entry point every attention kernel shares."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.fault.injector import FaultRouter
 from repro.fault.models import InjectionRecord
 
 
@@ -109,6 +113,12 @@ class FaultToleranceReport:
         if count:
             self.uncorrectable[stage] += count
 
+    def record_verdict(self, stage: str, verdict) -> None:
+        """Record a checksum verdict's detections, corrections and uncorrectables."""
+        self.record_detection(stage, verdict.detected)
+        self.record_correction(stage, verdict.corrected)
+        self.record_uncorrectable(stage, verdict.uncorrectable)
+
     # ------------------------------------------------------------------ #
     @property
     def total_detections(self) -> int:
@@ -152,3 +162,58 @@ class FaultToleranceReport:
             f"restorations={sum(self.restorations.values())} "
             f"uncorrectable={sum(self.uncorrectable.values())} injected={len(self.injected)}"
         )
+
+
+class TrialStackedAttention:
+    """The shared entry points of every attention kernel.
+
+    A kernel implements one method, ``forward_batched(q, k, v, router) ->
+    (out, reports)``, over ``(trials, ..., seq_len, head_dim)`` tensors with
+    one :class:`FaultToleranceReport` per trial; ``router`` (a
+    :class:`~repro.fault.injector.FaultRouter`) fans each ``corrupt`` offer
+    out to every trial's injector on its own slice.  The single-problem
+    :meth:`forward` is that call on a one-trial stack.
+    """
+
+    def forward(self, q, k, v, injector=None) -> tuple[np.ndarray, FaultToleranceReport]:
+        """Attention over ``(..., seq_len, head_dim)`` tensors, faults from ``injector``.
+
+        The report's ``injected`` list holds the records ``injector`` applied
+        during this call.
+        """
+        already_applied = injector.applied_count if injector is not None else 0
+        out, reports = self.forward_batched(
+            np.asarray(q)[None], np.asarray(k)[None], np.asarray(v)[None],
+            FaultRouter.for_trial(injector),
+        )
+        report = reports[0]
+        if injector is not None:
+            report.injected.extend(injector.records[already_applied:])
+        return out[0], report
+
+    def __call__(self, q, k, v, injector=None):
+        return self.forward(q, k, v, injector=injector)
+
+    @staticmethod
+    def _per_group(q, k, v, router, forward_group) -> tuple[np.ndarray, list[FaultToleranceReport]]:
+        """Run ``forward_group`` over every (batch, head) group of a trial stack.
+
+        The leading dimensions between the trial axis and the last two fold
+        into one group axis; ``forward_group(q, k, v, router, reports)`` gets
+        one ``(trials, seq_len, head_dim)`` group at a time with the trial
+        axis stacked, and records into the per-trial ``reports``.
+        """
+        q = np.asarray(q, dtype=np.float32)
+        k = np.asarray(k, dtype=np.float32)
+        v = np.asarray(v, dtype=np.float32)
+        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
+            raise ValueError("q, k, v must share leading dimensions")
+        if q.shape[-1] != k.shape[-1]:
+            raise ValueError("q and k must share the head dimension")
+        n_trials = q.shape[0]
+        q2, k2, v2 = (x.reshape((n_trials, -1) + x.shape[-2:]) for x in (q, k, v))
+        reports = [FaultToleranceReport() for _ in range(n_trials)]
+        out = np.empty_like(q2)
+        for g in range(q2.shape[1]):
+            out[:, g] = forward_group(q2[:, g], k2[:, g], v2[:, g], router, reports)
+        return out.reshape(q.shape), reports

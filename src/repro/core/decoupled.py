@@ -13,122 +13,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import AttentionConfig, FaultToleranceReport
-from repro.core.dmr import dmr_row_softmax, dmr_row_softmax_stacked
-from repro.core.traditional_abft import protected_matmul, protected_matmul_stacked
-from repro.fault.injector import FaultInjector
+from repro.core.config import AttentionConfig, TrialStackedAttention
+from repro.core.dmr import dmr_row_softmax_stacked
+from repro.core.traditional_abft import protected_matmul_stacked
 from repro.fault.models import FaultSite
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
-from repro.hardware.memory import HBMTracker
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
 
 
-class DecoupledFTAttention:
-    """Three-kernel attention with traditional ABFT + DMR protection."""
+class DecoupledFTAttention(TrialStackedAttention):
+    """Three-kernel attention with traditional ABFT + DMR protection.
 
-    def __init__(
-        self,
-        config: AttentionConfig,
-        spec: GPUSpec = A100_PCIE_40GB,
-        track_memory: bool = False,
-    ):
+    :meth:`forward_batched` is the kernel; ``forward`` runs it on a one-trial
+    stack.  The HBM footprint of the materialised intermediates (and the
+    Figure 9 OOM point) lives in the cost model, see :meth:`cost_breakdown`.
+    """
+
+    def __init__(self, config: AttentionConfig, spec: GPUSpec = A100_PCIE_40GB):
         self.config = config
         self.spec = spec
-        self.track_memory = track_memory
 
     # ------------------------------------------------------------------ #
-    def forward(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        injector: FaultInjector | None = None,
-    ) -> tuple[np.ndarray, FaultToleranceReport]:
-        """Protected attention over ``(..., seq_len, head_dim)`` tensors.
-
-        Returns the attention output and a :class:`FaultToleranceReport`
-        aggregating detections/corrections across all (batch, head) groups.
-        """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-
-        lead = q.shape[:-2]
-        q2 = q.reshape((-1,) + q.shape[-2:])
-        k2 = k.reshape((-1,) + k.shape[-2:])
-        v2 = v.reshape((-1,) + v.shape[-2:])
-        groups = q2.shape[0]
-
-        if self.track_memory:
-            tracker = HBMTracker(self.spec)
-            elem = 2  # FP16 storage of the intermediates
-            seq = q2.shape[1]
-            tracker.allocate("qkv+o", 4 * groups * seq * q2.shape[2] * elem)
-            tracker.allocate("scores", groups * seq * k2.shape[1] * elem)
-            tracker.allocate("probs", groups * seq * k2.shape[1] * elem)
-
-        report = FaultToleranceReport()
-        out = np.empty_like(q2)
-        scale = self.config.effective_scale
-        already_applied = injector.applied_count if injector is not None else 0
-        for g in range(groups):
-            out[g] = self._forward_single(q2[g], k2[g], v2[g], scale, injector, report)
-        if injector is not None:
-            report.injected.extend(injector.records[already_applied:])
-        return out.reshape(lead + q.shape[-2:]), report
-
-    __call__ = forward
-
     def forward_batched(self, q, k, v, router):
-        """Stacked-trial mirror of :meth:`forward` (no HBM tracking).
+        """Protected attention over ``(trials, ..., seq_len, head_dim)`` tensors.
 
         The two ABFT GEMMs and both softmax executions run stacked over the
         trial axis; checksum encodes, verification and any DMR retries stay
-        per trial on slice views, so every trial's output slice and report
-        counters are bitwise the scalar ones.  Returns ``(out, reports)``
-        with one report per trial; the reports' ``injected`` lists are left
-        empty (the caller owns the per-trial injectors).
+        per trial on slice views.  Returns ``(out, reports)`` with one report
+        per trial, aggregating detections/corrections across all (batch,
+        head) groups; the reports' ``injected`` lists are left empty (the
+        caller owns the per-trial injectors).
         """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        n_trials = q.shape[0]
-        q2 = q.reshape((n_trials, -1) + q.shape[-2:])
-        k2 = k.reshape((n_trials, -1) + k.shape[-2:])
-        v2 = v.reshape((n_trials, -1) + v.shape[-2:])
-        reports = [FaultToleranceReport() for _ in range(n_trials)]
-        out = np.empty_like(q2)
-        scale = self.config.effective_scale
-        for g in range(q2.shape[1]):
-            out[:, g] = self._forward_single_stacked(
-                q2[:, g], k2[:, g], v2[:, g], scale, router, reports
-            )
-        return out.reshape(q.shape), reports
+        return self._per_group(q, k, v, router, self._forward_group)
 
-    def _forward_single_stacked(self, q, k, v, scale, router, reports):
+    def _forward_group(self, q, k, v, router, reports):
+        # Kernel I: ABFT-protected GEMM producing the full score tensor.
         scores, verdicts_qk = protected_matmul_stacked(
             q,
             np.swapaxes(k, -1, -2),
             router,
-            scale=scale,
+            scale=self.config.effective_scale,
             site=FaultSite.GEMM_QK,
             atol=self.config.checksum_atol,
             rtol=self.config.score_checksum_rtol,
         )
-        for report, verdict in zip(reports, verdicts_qk):
-            report.record_detection("gemm_qk", verdict.detected)
-            report.record_correction("gemm_qk", verdict.corrected)
-            report.record_uncorrectable("gemm_qk", verdict.uncorrectable)
-
+        # Kernel II: DMR-protected row softmax producing the full P tensor.
         probs, stats_list = dmr_row_softmax_stacked(scores, router)
-        for report, stats in zip(reports, stats_list):
-            report.record_detection("softmax", stats["detected"])
-            report.record_recomputation("softmax", stats["rounds"])
-
+        # Kernel III: ABFT-protected GEMM producing the attention output.
         out, verdicts_pv = protected_matmul_stacked(
             probs,
             v,
@@ -138,58 +69,17 @@ class DecoupledFTAttention:
             atol=self.config.checksum_atol,
             rtol=self.config.output_checksum_rtol,
         )
-        for report, verdict in zip(reports, verdicts_pv):
-            report.record_detection("gemm_pv", verdict.detected)
-            report.record_correction("gemm_pv", verdict.corrected)
-            report.record_uncorrectable("gemm_pv", verdict.uncorrectable)
+        for report, verdict_qk, stats, verdict_pv in zip(
+            reports, verdicts_qk, stats_list, verdicts_pv
+        ):
+            report.record_verdict("gemm_qk", verdict_qk)
+            report.record_detection("softmax", stats["detected"])
+            report.record_recomputation("softmax", stats["rounds"])
+            report.record_verdict("gemm_pv", verdict_pv)
         return out
 
     # ------------------------------------------------------------------ #
-    def _forward_single(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        scale: float,
-        injector: FaultInjector | None,
-        report: FaultToleranceReport,
-    ) -> np.ndarray:
-        # Kernel I: ABFT-protected GEMM producing the full score tensor.
-        scores, verdict_qk = protected_matmul(
-            q,
-            k.T,
-            scale=scale,
-            injector=injector,
-            site=FaultSite.GEMM_QK,
-            atol=self.config.checksum_atol,
-            rtol=self.config.score_checksum_rtol,
-        )
-        report.record_detection("gemm_qk", verdict_qk.detected)
-        report.record_correction("gemm_qk", verdict_qk.corrected)
-        report.record_uncorrectable("gemm_qk", verdict_qk.uncorrectable)
-
-        # Kernel II: DMR-protected row softmax producing the full P tensor.
-        probs, dmr_stats = dmr_row_softmax(scores, injector=injector)
-        report.record_detection("softmax", dmr_stats["detected"])
-        report.record_recomputation("softmax", dmr_stats["rounds"])
-
-        # Kernel III: ABFT-protected GEMM producing the attention output.
-        out, verdict_pv = protected_matmul(
-            probs,
-            v,
-            scale=1.0,
-            injector=injector,
-            site=FaultSite.GEMM_PV,
-            atol=self.config.checksum_atol,
-            rtol=self.config.output_checksum_rtol,
-        )
-        report.record_detection("gemm_pv", verdict_pv.detected)
-        report.record_correction("gemm_pv", verdict_pv.corrected)
-        report.record_uncorrectable("gemm_pv", verdict_pv.uncorrectable)
-        return out
-
-    # ------------------------------------------------------------------ #
-    def cost_breakdown(self, batch: int, heads: int, track_memory: bool = False) -> CostBreakdown:
+    def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         """Simulated (roofline) cost of this baseline for a full workload."""
         workload = AttentionWorkload(
             batch=batch,
@@ -199,4 +89,4 @@ class DecoupledFTAttention:
             block_size=self.config.block_size,
         )
         model = AttentionCostModel(workload, self.spec)
-        return model.decoupled_ft_breakdown(track_memory=track_memory)
+        return model.decoupled_ft_breakdown()

@@ -17,8 +17,11 @@ benchmarks select a scheme **by name** instead of hard-wiring classes:
 * ``"decoupled"`` -- the three-kernel operation-level baseline
   (:class:`repro.core.decoupled.DecoupledFTAttention`).
 
-Every scheme implements ``forward(q, k, v, injector) -> (out, report)`` and
-``cost_breakdown(batch, heads)``; new schemes register with::
+Every scheme implements one attention forward,
+``forward_batched(q, k, v, router) -> (out, reports)`` over a leading trial
+axis, plus ``cost_breakdown(batch, heads)``; the single-problem
+``forward(q, k, v, injector) -> (out, report)`` is the one-trial call of
+``forward_batched`` shared by all of them.  New schemes register with::
 
     @register_scheme("my_scheme")
     class MyScheme(ProtectionScheme):
@@ -27,16 +30,17 @@ Every scheme implements ``forward(q, k, v, injector) -> (out, report)`` and
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import ClassVar
 
 import numpy as np
 
+from repro.attention.flash import flash_attention
 from repro.attention.tiling import partition_blocks
-from repro.core.config import AttentionConfig, FaultToleranceReport
+from repro.core.config import AttentionConfig, FaultToleranceReport, TrialStackedAttention
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta import EFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
-from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.fp.float16 import fp16_matmul
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
@@ -44,8 +48,11 @@ from repro.hardware.kernel import KernelLedger
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
 
 
-class ProtectionScheme:
+class ProtectionScheme(TrialStackedAttention, ABC):
     """Strategy interface shared by every registered protection scheme.
+
+    A scheme implements :meth:`forward_batched`, the one attention forward;
+    :meth:`forward` (and calling the scheme) runs it on a one-trial stack.
 
     Parameters
     ----------
@@ -66,51 +73,20 @@ class ProtectionScheme:
         self.spec = spec
 
     # ------------------------------------------------------------------ #
-    def forward(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        injector: FaultInjector | None = None,
-    ) -> tuple[np.ndarray, FaultToleranceReport]:
-        """Attention over ``(..., seq_len, head_dim)`` tensors under this scheme."""
-        raise NotImplementedError
+    @abstractmethod
+    def forward_batched(self, q, k, v, router) -> tuple[np.ndarray, list[FaultToleranceReport]]:
+        """Attention over a stacked leading *trial* axis.
 
-    def __call__(self, q, k, v, injector=None):
-        return self.forward(q, k, v, injector=injector)
-
-    # ------------------------------------------------------------------ #
-    def forward_batched(self, q, k, v, router):
-        """Optional batched forward over a stacked leading *trial* axis.
-
-        ``q``/``k``/``v`` carry an extra leading trial dimension
-        (``(trials, ..., seq_len, head_dim)``); ``router`` fans every
+        ``q``/``k``/``v`` have shape ``(trials, ..., seq_len, head_dim)``;
+        ``router`` (a :class:`repro.fault.injector.FaultRouter`) fans every
         ``corrupt(site, array, block)`` offer out to each trial's own
-        injector on ``array[t]`` (see
-        :class:`repro.fault.batched._BatchFaultRouter`).  Implementations
-        must return ``(out, reports)`` with one
-        :class:`~repro.core.config.FaultToleranceReport` per trial, and every
-        per-trial slice of ``out`` (and of the report counters) must be
-        bitwise identical to what :meth:`forward` produces for that trial
-        alone -- batching is an execution-speed optimisation, never a
-        numerics trade-off.
-
-        The default declines (returns ``None``): the caller falls back to the
-        scalar path.  A scheme that advertises :attr:`supports_batched` must
-        not decline, because the caller may already have consumed per-trial
-        generators by the time it calls this.
+        injector on ``array[t]``.  Returns ``(out, reports)`` with one
+        :class:`~repro.core.config.FaultToleranceReport` per trial.  A
+        trial's slice of ``out`` and its report must not depend on the other
+        trials in the stack: matmuls stay batched on the last two
+        dimensions, reductions run over the last axis, and every injector
+        sees the offers a one-trial stack would make.
         """
-        return None
-
-    @property
-    def supports_batched(self) -> bool:
-        """Whether this scheme implements :meth:`forward_batched`.
-
-        Subclasses may also shadow this with a plain ``supports_batched =
-        False`` class attribute to opt out explicitly (e.g. schemes whose
-        verification state cannot be stacked).
-        """
-        return type(self).forward_batched is not ProtectionScheme.forward_batched
 
     def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         """Simulated (roofline) cost of this scheme for a full multi-head workload."""
@@ -176,129 +152,64 @@ def build_scheme(
     name: str,
     config: AttentionConfig,
     spec: GPUSpec = A100_PCIE_40GB,
-    **kwargs,
 ) -> ProtectionScheme:
     """Instantiate the scheme registered under ``name`` for ``config``."""
-    return get_scheme(name)(config, spec=spec, **kwargs)
+    return get_scheme(name)(config, spec=spec)
 
 
 # --------------------------------------------------------------------------- #
 # "none": unprotected flash attention
 # --------------------------------------------------------------------------- #
+#: The sites the unprotected tile loop offers to the injectors.
+_TILE_SITES = (
+    FaultSite.GEMM_QK,
+    FaultSite.REDUCE_MAX,
+    FaultSite.SUBTRACT_EXP,
+    FaultSite.REDUCE_SUM,
+    FaultSite.RESCALE,
+    FaultSite.GEMM_PV,
+    FaultSite.NORMALIZE,
+)
+
+
 @register_scheme("none")
 class UnprotectedAttention(ProtectionScheme):
     """Unprotected flash-style attention: the performance baseline.
 
     The fault-free numerics are bit-identical to
     :func:`repro.attention.flash.flash_attention` with ``mixed_precision=True``
-    (FP16 score GEMM, FP32 accumulation).  The loop additionally offers every
-    intermediate to the injector at the same sites as EFTA, so injected faults
-    propagate to the output *undetected* -- the silent-data-corruption
-    reference the coverage campaigns compare protected schemes against.
+    (FP16 score GEMM, FP32 accumulation).  When a trial's injector may still
+    fire inside attention, the tile loop below runs instead: it offers every
+    intermediate to the injectors at the same sites as EFTA, so injected
+    faults propagate to the output *undetected* -- the
+    silent-data-corruption reference the coverage campaigns compare
+    protected schemes against.
 
-    The recurrence is spelled out here (like EFTA's own loop) rather than
-    reusing ``OnlineSoftmaxState`` because the injector must see each
-    intermediate between the fused update's steps; bit-identity with
-    ``flash_attention`` is pinned by
+    The choice comes from the planned faults: with no pending fault at an
+    attention site the offers would change nothing, so the vectorised
+    ``flash_attention`` recurrence answers (a site-counting probe always
+    reports pending faults and so always gets the offers).  The recurrence is
+    spelled out here (like EFTA's own loop) rather than reusing
+    ``OnlineSoftmaxState`` because the injectors must see each intermediate
+    between the fused update's steps; bit-identity with ``flash_attention``
+    is pinned by
     ``tests/core/test_schemes.py::TestParityWithHardwiredClasses``.
     """
 
     protects_linear = False
 
-    def forward(self, q, k, v, injector=None):
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
-        lead = q.shape[:-2]
-        q2 = q.reshape((-1,) + q.shape[-2:])
-        k2 = k.reshape((-1,) + k.shape[-2:])
-        v2 = v.reshape((-1,) + v.shape[-2:])
-        report = FaultToleranceReport()
-        out = np.empty_like(q2)
-        already_applied = injector.applied_count if injector is not None else 0
-        for g in range(q2.shape[0]):
-            out[g] = self._forward_single(q2[g], k2[g], v2[g], injector)
-        if injector is not None:
-            report.injected.extend(injector.records[already_applied:])
-        return out.reshape(lead + q.shape[-2:]), report
-
-    def _forward_single(self, q, k, v, injector):
-        cfg = self.config
-        scale = np.float32(cfg.effective_scale)
-        seq_len, head_dim = q.shape
-        out = np.empty((seq_len, head_dim), dtype=np.float32)
-        for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = q[row_blk]
-            rows = q_i.shape[0]
-            row_max = np.full(rows, -np.inf, dtype=np.float32)
-            row_sum = np.zeros(rows, dtype=np.float32)
-            acc = np.zeros((rows, head_dim), dtype=np.float32)
-            for j, col_blk in enumerate(partition_blocks(k.shape[0], cfg.block_size)):
-                k_j = k[col_blk]
-                v_j = v[col_blk]
-                block = (i, j)
-                scores = fp16_matmul(q_i, k_j.T) * scale
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_QK, scores, block=block)
-                local_max = scores.max(axis=1)
-                new_max = np.maximum(row_max, local_max)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_MAX, new_max, block=block)
-                probs = np.exp(scores - new_max[:, None]).astype(np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.SUBTRACT_EXP, probs, block=block)
-                rescale = np.exp(row_max - new_max).astype(np.float32)
-                rescale = np.where(np.isfinite(rescale), rescale, 0.0).astype(np.float32)
-                row_sum = rescale * row_sum + probs.sum(axis=1, dtype=np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
-                acc_scaled = rescale[:, None] * acc
-                if injector is not None:
-                    injector.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                # FP32 value accumulation, matching flash_attention's
-                # OnlineSoftmaxState.update (only the score GEMM is FP16).
-                acc = acc_scaled + probs @ v_j
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                row_max = new_max
-            denom = np.where(row_sum > 0.0, row_sum, 1.0)
-            o_block = (acc / denom[:, None]).astype(np.float32)
-            if injector is not None:
-                injector.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            out[row_blk] = o_block
-        return out
-
     def forward_batched(self, q, k, v, router):
-        """Stacked-trial mirror of :meth:`forward`: same loop, one more axis.
+        """No verification happens under this scheme: the reports stay empty."""
+        if router.pending_at(_TILE_SITES):
+            return self._per_group(q, k, v, router, self._tile_loop)
+        cfg = self.config
+        out = flash_attention(
+            q, k, v, scale=cfg.effective_scale, block_size=cfg.block_size, mixed_precision=True
+        )
+        return out, [FaultToleranceReport() for _ in range(out.shape[0])]
 
-        The trial axis is carried through every intermediate and the matmuls
-        stay batched-last-two-dims, so each trial's slice is bitwise the
-        scalar product; the router receives the identical ``corrupt`` offer
-        sequence (same sites, same blocks, same per-trial array shapes) the
-        scalar loop makes.  No verification happens under this scheme, so the
-        returned reports are empty.
-        """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
-        n_trials = q.shape[0]
-        q2 = q.reshape((n_trials, -1) + q.shape[-2:])
-        k2 = k.reshape((n_trials, -1) + k.shape[-2:])
-        v2 = v.reshape((n_trials, -1) + v.shape[-2:])
-        out = np.empty_like(q2)
-        for g in range(q2.shape[1]):
-            out[:, g] = self._forward_single_stacked(q2[:, g], k2[:, g], v2[:, g], router)
-        return out.reshape(q.shape), [FaultToleranceReport() for _ in range(n_trials)]
-
-    def _forward_single_stacked(self, q, k, v, router):
+    def _tile_loop(self, q, k, v, router, reports):
+        """One ``(trials, seq_len, head_dim)`` group through the offered tile loop."""
         cfg = self.config
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
@@ -326,6 +237,8 @@ class UnprotectedAttention(ProtectionScheme):
                 router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
                 acc_scaled = rescale[..., None] * acc
                 router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+                # FP32 value accumulation, matching flash_attention's
+                # OnlineSoftmaxState.update (only the score GEMM is FP16).
                 acc = acc_scaled + np.matmul(probs, v_j)
                 router.corrupt(FaultSite.GEMM_PV, acc, block=block)
                 row_max = new_max
@@ -350,22 +263,12 @@ class _KernelScheme(ProtectionScheme):
 
     kernel_cls: ClassVar[type] = None
 
-    def __init__(self, config: AttentionConfig, spec: GPUSpec = A100_PCIE_40GB, **kwargs):
+    def __init__(self, config: AttentionConfig, spec: GPUSpec = A100_PCIE_40GB):
         super().__init__(config, spec)
-        self.kernel = self.kernel_cls(config, spec=spec, **kwargs)
-
-    def forward(self, q, k, v, injector=None):
-        return self.kernel.forward(q, k, v, injector=injector)
+        self.kernel = self.kernel_cls(config, spec=spec)
 
     def forward_batched(self, q, k, v, router):
-        fwd = getattr(self.kernel, "forward_batched", None)
-        if fwd is None:
-            return None
-        return fwd(q, k, v, router)
-
-    @property
-    def supports_batched(self) -> bool:
-        return hasattr(self.kernel, "forward_batched")
+        return self.kernel.forward_batched(q, k, v, router)
 
     def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         return self.kernel.cost_breakdown(batch, heads)

@@ -98,19 +98,12 @@ def restrict_rowsum(
     Values outside ``[lower_bound, upper_bound]`` are replaced by the
     lower-bound approximation ``sum_k exp(m_ik - m_i)`` (Algorithm 1, lines
     22-24).  Returns the restricted array and the number of rows restored.
+    The one-trial call of :func:`restrict_rowsum_stacked`.
     """
-    rowsum = np.asarray(rowsum, dtype=np.float32)
-    # The theoretical lower bound is strictly positive (the row maximum always
-    # contributes exp(0) = 1), so floor it at the smallest normal value: a
-    # normaliser driven to exactly zero (e.g. by a corrupted running maximum
-    # underflowing every exponential) is always flagged.
-    lower = np.maximum(np.asarray(lower_bound, dtype=np.float32), np.finfo(np.float32).tiny)
-    bad = (rowsum < lower) | (rowsum > np.float32(upper_bound)) | ~np.isfinite(rowsum)
-    if not bad.any():
-        return rowsum, 0
-    restored = rowsum.copy()
-    restored[bad] = lower[bad]
-    return restored, int(bad.sum())
+    restored, counts = restrict_rowsum_stacked(
+        np.asarray(rowsum)[None], np.asarray(lower_bound)[None], upper_bound
+    )
+    return restored[0], int(counts[0])
 
 
 def restrict_rowsum_stacked(
@@ -120,12 +113,15 @@ def restrict_rowsum_stacked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Range-restrict a stacked ``(trials, rows)`` normaliser per trial.
 
-    Same math as :func:`restrict_rowsum` applied once over the stack; returns
-    the restricted array and the per-trial restoration counts.  Per-trial
-    slices are bitwise what the scalar routine produces on that slice (the
-    comparisons and the lower-bound substitution are elementwise).
+    Returns the restricted array and the per-trial restoration counts; the
+    comparisons and the lower-bound substitution are elementwise, so a
+    trial's slice does not depend on the others.
     """
     rowsum = np.asarray(rowsum, dtype=np.float32)
+    # The theoretical lower bound is strictly positive (the row maximum always
+    # contributes exp(0) = 1), so floor it at the smallest normal value: a
+    # normaliser driven to exactly zero (e.g. by a corrupted running maximum
+    # underflowing every exponential) is always flagged.
     lower = np.maximum(np.asarray(lower_bound, dtype=np.float32), np.finfo(np.float32).tiny)
     bad = (rowsum < lower) | (rowsum > np.float32(upper_bound)) | ~np.isfinite(rowsum)
     counts = bad.reshape(rowsum.shape[0], -1).sum(axis=1)

@@ -116,31 +116,6 @@ class StridedABFT:
             rtol=self.config.score_checksum_rtol,
         )
 
-    def verify_output(
-        self,
-        o_block: np.ndarray,
-        o_check1: np.ndarray,
-        o_check2: np.ndarray,
-        rtol: float | None = None,
-        magnitude: np.ndarray | None = None,
-    ) -> ChecksumVerdict:
-        """Verify/correct the output accumulator against its running checksums.
-
-        ``magnitude`` is the per-class accumulated magnitude reference (the
-        strided fold of ``|P| |V|`` carried alongside the output checksums);
-        without it a near-zero output class would be compared against its own
-        cancelled value and FP16 round-off could false-alarm.
-        """
-        return verify_strided_checksums(
-            o_block,
-            o_check1,
-            o_check2,
-            stride=self.stride,
-            atol=self.config.checksum_atol,
-            rtol=self.config.output_checksum_rtol if rtol is None else rtol,
-            magnitude=magnitude,
-        )
-
     def verify_output_stacked(
         self,
         o_block: np.ndarray,
@@ -149,10 +124,16 @@ class StridedABFT:
         rtol: float | None = None,
         magnitude: np.ndarray | None = None,
     ) -> list[ChecksumVerdict]:
-        """Per-trial :meth:`verify_output` over a stacked ``(trials, ...)`` block.
+        """Verify/correct a stacked ``(trials, rows, cols)`` output accumulator.
 
-        One stacked pass corrects ``o_block`` in place (see
-        :func:`repro.gemm.checksum.verify_strided_checksums_stacked`).
+        The accumulator is checked against its running checksums in one
+        stacked pass that corrects ``o_block`` in place (see
+        :func:`repro.gemm.checksum.verify_strided_checksums_stacked`) and
+        returns one verdict per trial.  ``magnitude`` is the per-class
+        accumulated magnitude reference (the strided fold of ``|P| |V|``
+        carried alongside the output checksums); without it a near-zero
+        output class would be compared against its own cancelled value and
+        FP16 round-off could false-alarm.
         """
         return verify_strided_checksums_stacked(
             o_block,

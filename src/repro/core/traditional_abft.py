@@ -19,7 +19,7 @@ from repro.gemm.checksum import (
     verify_column_checksums,
     verify_row_checksums,
 )
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultInjector, FaultRouter
 from repro.fault.models import FaultSite
 
 
@@ -34,6 +34,8 @@ def protected_matmul(
     mixed_precision: bool = True,
 ) -> tuple[np.ndarray, ChecksumVerdict]:
     """Compute ``(a @ b) * scale`` with traditional ABFT protection.
+
+    The one-trial call of :func:`protected_matmul_stacked`.
 
     Parameters
     ----------
@@ -59,28 +61,11 @@ def protected_matmul(
     b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("protected_matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    matmul = fp16_matmul if mixed_precision else lambda x, y: np.matmul(x, y).astype(np.float32)
-
-    # Encode: two checksum rows from A, two checksum columns from B.
-    ca1, ca2 = encode_column_checksums(a)
-    br1, br2 = encode_row_checksums(b)
-
-    c = matmul(a, b) * np.float32(scale)
-    # Checksum products computed alongside the original GEMM (Equation C_f = A_c B_r).
-    c_col1 = matmul(ca1[None, :], b)[0] * np.float32(scale)
-    c_col2 = matmul(ca2[None, :], b)[0] * np.float32(scale)
-    c_row1 = matmul(a, br1[:, None])[:, 0] * np.float32(scale)
-    c_row2 = matmul(a, br2[:, None])[:, 0] * np.float32(scale)
-
-    if injector is not None:
-        injector.corrupt(site, c)
-
-    verdict = verify_column_checksums(c, c_col1, c_col2, atol=atol, rtol=rtol)
-    verdict.merge(verify_row_checksums(c, c_row1, c_row2, atol=atol, rtol=rtol))
-    return c, verdict
+    c, verdicts = protected_matmul_stacked(
+        a[None], b[None], FaultRouter.for_trial(injector), scale=scale, site=site,
+        atol=atol, rtol=rtol, mixed_precision=mixed_precision,
+    )
+    return c[0], verdicts[0]
 
 
 def protected_matmul_stacked(
@@ -95,13 +80,16 @@ def protected_matmul_stacked(
 ) -> tuple[np.ndarray, list[ChecksumVerdict]]:
     """:func:`protected_matmul` over a stacked ``(trials, m, k)`` batch.
 
-    The product runs as one batched-last-two-dims matmul (each trial's slice
-    is bitwise the scalar 2-D product); the checksum encodings and checksum
-    products stay per trial, in the scalar call order.  Detection runs once
-    over the stack, and only flagged trials are verified, on slice views --
-    so in-place corrections land in the stacked product and every verdict
-    matches the scalar one.  ``router`` fans the single
-    post-GEMM ``corrupt`` offer out to each trial's injector on its slice.
+    The operands are encoded with two checksum rows of ``a`` and two checksum
+    columns of ``b`` (Equations 8-9); the checksum products are computed
+    alongside the original GEMM (``C_f = A_c B_r``) and the product is then
+    offered to the injectors, modelling a computing-unit fault.  The product
+    runs as one batched-last-two-dims matmul; the checksum encodings and
+    checksum products stay per trial.  Detection runs once over the stack,
+    and only flagged trials are verified by the column/row verify pair, on
+    slice views -- so in-place corrections land in the stacked product.
+    ``router`` fans the single post-GEMM ``corrupt`` offer out to each
+    trial's injector on its slice.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -114,8 +102,8 @@ def protected_matmul_stacked(
 
     c = matmul(a, b) * np.float32(scale)
     # The checksum vectors depend on the per-trial operands; encoding and the
-    # (1 x k) / (k x 1) checksum products are the scalar calls on slice views.
-    # They are computed before the corrupt offer, like the scalar routine.
+    # (1 x k) / (k x 1) checksum products run on slice views, before the
+    # corrupt offer.
     checks = []
     for t in range(a.shape[0]):
         ca1, ca2 = encode_column_checksums(a[t])
@@ -132,9 +120,9 @@ def protected_matmul_stacked(
     router.corrupt(site, c)
 
     # Detection runs once over the stack.  A finite trial whose column and
-    # row residuals are all within threshold gets the verdict the scalar pair
+    # row residuals are all within threshold gets the verdict the verify pair
     # returns when it corrects nothing; any other trial (a non-finite one too:
-    # Python's max of NaNs depends on argument order) runs the scalar pair.
+    # Python's max of NaNs depends on argument order) runs the verify pair.
     mag = np.abs(c)
     col_res = np.abs(np.stack([chk[0] for chk in checks]) - c.sum(axis=1, dtype=np.float64))
     row_res = np.abs(np.stack([chk[2] for chk in checks]) - c.sum(axis=2, dtype=np.float64))

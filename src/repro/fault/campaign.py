@@ -678,13 +678,17 @@ class _SiteProbe:
     """Injector stand-in that counts injection opportunities per fault site.
 
     Duck-types the :class:`~repro.fault.injector.FaultInjector` surface the
-    kernels touch (``corrupt``, ``applied_count``, ``records``) but never
-    corrupts anything; one probed forward yields the exact number of
-    ``corrupt`` calls each site sees under a given scheme, which bounds the
-    ``occurrence`` draw so every planned fault actually lands.
+    kernels and the :class:`~repro.fault.injector.FaultRouter` touch
+    (``corrupt``, ``armed``, ``pending_at``, ``applied_count``, ``records``)
+    but never corrupts anything; one probed forward yields the exact number
+    of ``corrupt`` calls each site sees under a given scheme, which bounds
+    the ``occurrence`` draw so every planned fault actually lands.  It stays
+    armed and pending at every site, so no kernel skips an offer it would
+    make to a real injector.
     """
 
     applied_count = 0
+    armed = True
 
     def __init__(self) -> None:
         from collections import Counter
@@ -694,6 +698,9 @@ class _SiteProbe:
 
     def corrupt(self, site, tensor, block=None) -> None:
         self.counts[site] += 1
+
+    def pending_at(self, sites) -> bool:
+        return True
 
 
 def _transformer_fixture(params: dict) -> tuple:
@@ -759,18 +766,25 @@ def _weight_tensors(model) -> list[tuple[str, np.ndarray]]:
     return tensors
 
 
-def _transformer_outcome(output, clean_logits, applied: int, tol: float) -> dict:
-    """Fold one faulty forward into the campaign's TrialOutcome record."""
-    denom = max(float(np.abs(clean_logits).max()), 1e-12)
-    deviation = float(np.abs(output.logits - clean_logits).max())
+def _logit_scale(clean_logits: np.ndarray) -> float:
+    """The fault-free logits' peak magnitude: the relative-error denominator."""
+    return max(float(np.abs(clean_logits).max()), 1e-12)
+
+
+def _transformer_outcome(deviation: float, denom: float, applied: int, report, tol: float) -> dict:
+    """Fold one faulty forward into the campaign's TrialOutcome record.
+
+    ``deviation`` is the forward's peak ``|faulty - clean|`` logit deviation
+    and ``denom`` the :func:`_logit_scale` of the clean logits.
+    """
     if not np.isfinite(deviation):
         deviation = 10.0 * denom
     rel_err = min(deviation / denom, 10.0)
     return TrialOutcome(
         injected=applied,
-        detected=int(output.report.total_detections),
+        detected=int(report.total_detections),
         corrected=applied if rel_err < tol else 0,
-        false_alarm=bool(applied == 0 and output.report.detected_any),
+        false_alarm=bool(applied == 0 and report.detected_any),
         output_rel_error=rel_err if applied else 0.0,
     ).to_dict()
 
@@ -802,7 +816,10 @@ def _run_at_rest_trial(rng, model, ids, clean_logits, tol: float, specs) -> dict
                 weight[record.index] = record.original
     n_injected = sum(len(records) for _, records in applied)
     with faulted_errstate():
-        return _transformer_outcome(output, clean_logits, n_injected, tol)
+        deviation = float(np.abs(output.logits - clean_logits).max())
+    return _transformer_outcome(
+        deviation, _logit_scale(clean_logits), n_injected, output.report, tol
+    )
 
 
 def _validate_sites(sites, site_counts, params: dict) -> None:
@@ -846,91 +863,59 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
 
     The record is a :class:`~repro.fault.metrics.TrialOutcome`: detection from
     the scheme's report, correction from comparing the faulty logits to the
-    fault-free oracle.
+    fault-free oracle.  Computational faults run through the batch kernel
+    (:mod:`repro.fault.batched`) on a one-trial chunk; only at-rest faults,
+    which corrupt the shared model fixture, run here.
     """
     from repro.fault.dictionary import get_fault_model
-    from repro.fault.injector import FaultInjector
     from repro.fault.models import FaultSite, FaultSpec
 
-    model, ids, clean_logits, site_counts = _transformer_fixture(params)
     tol = float(params.get("correction_tol", 0.02))
     replay = _resolve_faultload_trial(params)
     if replay is not None:
         _, specs, fault_digest = replay
         at_rest = [get_fault_model(s.fault_model).at_rest for s in specs]
-        if any(at_rest):
-            if not all(at_rest):
-                raise ValueError(
-                    "faultload mixes at-rest and computational fault models; "
-                    "generate separate artifacts"
-                )
-            record = _run_at_rest_trial(rng, model, ids, clean_logits, tol, specs)
-        else:
-            _validate_sites(
-                sorted({s.site for s in specs}, key=lambda s: s.value),
-                site_counts,
-                params,
+        if not any(at_rest):
+            params = {**params, "_trial_indices": [params["_trial_index"]]}
+            return _batched._transformer_inference_batch([rng], params)[0]
+        if not all(at_rest):
+            raise ValueError(
+                "faultload mixes at-rest and computational fault models; "
+                "generate separate artifacts"
             )
-            injector = FaultInjector(specs=list(specs), seed=int(rng.integers(2**31)))
-            with faulted_errstate():
-                output = model(ids, injector=injector)
-                record = _transformer_outcome(output, clean_logits, len(injector.records), tol)
+        model, ids, clean_logits, _ = _transformer_fixture(params)
+        record = _run_at_rest_trial(rng, model, ids, clean_logits, tol, specs)
         record["fault_digest"] = fault_digest
         return record
 
     fault_model = str(params.get("fault_model", "seu"))
-    model_params = dict(params.get("model_params", {}))
     fmodel = get_fault_model(fault_model)
-    bits = [int(b) for b in params.get("bits", [12, 13, 14] if not fmodel.at_rest else [26, 28, 30])]
-    dtype = str(params.get("dtype", "fp16" if not fmodel.at_rest else fmodel.default_dtype))
+    if not fmodel.at_rest:
+        # Computational faults: the stacked forward on a one-trial chunk.
+        return _batched._transformer_inference_batch([rng], params)[0]
 
+    model, ids, clean_logits, _ = _transformer_fixture(params)
+    bits = [int(b) for b in params.get("bits", [26, 28, 30])]
+    dtype = str(params.get("dtype", fmodel.default_dtype))
+    n_faults = 1
     if "bit_error_rate" in params:
         ber = float(params["bit_error_rate"])
         exposure_bits = 2.0 * model.num_parameters() * ids.shape[1] * 16.0
         n_faults = int(rng.poisson(ber * exposure_bits))
-    else:
-        n_faults = 1
-
-    if fmodel.at_rest:
-        specs = [
-            FaultSpec(
-                site=FaultSite.LINEAR,
-                bit=bits[int(rng.integers(len(bits)))],
-                dtype=dtype,
-                fault_model=fault_model,
-                model_params=model_params,
-            )
-            for _ in range(n_faults)
-        ]
-        return _run_at_rest_trial(rng, model, ids, clean_logits, tol, specs)
-
-    sites = params.get("site", "linear")
-    if isinstance(sites, str):
-        sites = [sites]
-    sites = [FaultSite(str(s)) for s in sites]
-    _validate_sites(sites, site_counts, params)
-
-    def one_spec() -> FaultSpec:
-        site = sites[int(rng.integers(len(sites)))]
-        # Drawing the occurrence over the probed per-site call count spreads
-        # faults uniformly over layers/blocks and guarantees they land.
-        return FaultSpec(
-            site=site,
+    specs = [
+        FaultSpec(
+            site=FaultSite.LINEAR,
             bit=bits[int(rng.integers(len(bits)))],
             dtype=dtype,
-            occurrence=int(rng.integers(site_counts[site])),
             fault_model=fault_model,
-            model_params=model_params,
+            model_params=dict(params.get("model_params", {})),
         )
-
-    specs = [one_spec() for _ in range(n_faults)]
-    injector = FaultInjector(specs=specs, seed=int(rng.integers(2**31)))
-    with faulted_errstate():
-        output = model(ids, injector=injector)
-        return _transformer_outcome(output, clean_logits, len(injector.records), tol)
+        for _ in range(n_faults)
+    ]
+    return _run_at_rest_trial(rng, model, ids, clean_logits, tol, specs)
 
 
-# The batched transformer kernel lives in its own module (it pulls in the
-# whole model stack); importing it here attaches it to the registry entry
-# created above whenever the campaign kernels are loaded.
-from repro.fault import batched as _batched  # noqa: E402,F401  (registration side effect)
+# The transformer kernel body lives in its own module (it pulls in the whole
+# model stack); importing it here attaches it to the registry entry created
+# above whenever the campaign kernels are loaded.
+from repro.fault import batched as _batched  # noqa: E402

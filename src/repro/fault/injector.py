@@ -7,6 +7,11 @@ records what it did, and returns.  Fault-free runs simply use an un-armed
 injector (or ``None``), so protection code paths are identical with and
 without faults.
 
+Kernels run over a leading *trial* axis and never see an injector directly:
+a :class:`FaultRouter` fans each stacked offer out to every trial's own
+injector on that trial's slice.  A single forward is the one-trial case
+(:meth:`FaultRouter.for_trial`).
+
 *How* a matching tensor is corrupted is delegated to the spec's registered
 fault model (:mod:`repro.fault.dictionary`); the default ``"seu"`` model
 reproduces the historical single-bit-flip behaviour byte-for-byte.  Models
@@ -110,6 +115,14 @@ class FaultInjector:
         """
         return any(not p.applied or p.model.persistent for p in self._pending)
 
+    def pending_at(self, sites) -> bool:
+        """Whether a planned fault that can still fire targets one of ``sites``."""
+        return any(
+            p.spec.site in sites
+            for p in self._pending
+            if not p.applied or p.model.persistent
+        )
+
     @property
     def applied_count(self) -> int:
         """Number of faults injected so far."""
@@ -162,6 +175,51 @@ class FaultInjector:
             self.records.extend(records)
             applied_now.extend(records)
         return applied_now
+
+
+class FaultRouter:
+    """Routes one stacked ``corrupt`` offer to every trial's own injector.
+
+    Kernel intermediates have shape ``(n_trials, ...)`` with trial ``t``
+    owning slice ``array[t]`` -- exactly the array a single-trial forward
+    offers, so each injector's element draws, occurrence counting and records
+    do not depend on how many trials share the stack.
+
+    Injectors duck-type :class:`FaultInjector`: ``corrupt``, ``armed`` and
+    ``pending_at``.
+    """
+
+    def __init__(self, injectors):
+        # Offers only reach injectors that still have un-applied faults: a
+        # drained injector's `corrupt` is a no-op by contract (applied
+        # pendings are skipped), so dropping it from the fan-out changes
+        # nothing while removing most of the per-offer Python cost (one
+        # planned fault per trial is the common case).
+        self._active = [(t, inj) for t, inj in enumerate(injectors) if inj.armed]
+
+    @classmethod
+    def for_trial(cls, injector) -> "FaultRouter":
+        """The router of a one-trial stack; ``None`` means a fault-free run."""
+        return cls([] if injector is None else [injector])
+
+    def corrupt(self, site: FaultSite, array: np.ndarray, block=None) -> None:
+        if not self._active:
+            return
+        still_armed = []
+        for t, injector in self._active:
+            injector.corrupt(site, array[t], block)
+            if injector.armed:
+                still_armed.append((t, injector))
+        self._active = still_armed
+
+    def pending_at(self, sites) -> bool:
+        """Whether any trial's injector may still fire at one of ``sites``.
+
+        A kernel may skip its offers at ``sites`` when this is false:
+        occurrence counting is per site, so offers no pending fault matches
+        change no injector's state.
+        """
+        return any(injector.pending_at(sites) for _, injector in self._active)
 
 
 def inject_bit_errors(

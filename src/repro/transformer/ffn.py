@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import FaultToleranceReport
-from repro.fault.injector import FaultInjector
-from repro.transformer.layers import ProtectedLinear, gelu
+from repro.fault.injector import FaultRouter
+from repro.transformer.layers import ProtectedLinear, gelu, record_verdicts
 
 
 class FeedForward:
@@ -41,29 +41,27 @@ class FeedForward:
     def __call__(
         self,
         x: np.ndarray,
-        injector: FaultInjector | None = None,
-        report: FaultToleranceReport | None = None,
+        router: FaultRouter,
+        reports: list[FaultToleranceReport],
         protected: bool = True,
     ) -> np.ndarray:
-        """Apply the block to ``x`` of shape ``(..., hidden_dim)``."""
-        hidden = self.fc_in(x, injector=injector, protected=protected)
-        self._record(self.fc_in, report, "ffn_in")
+        """Apply the block to ``x`` of shape ``(trials, ..., hidden_dim)``.
+
+        ``reports`` holds one report per trial; the linear verdicts and the
+        activation restriction counts land in the trial's own report.
+        """
+        hidden, verdicts = self.fc_in(x, router, protected)
+        record_verdicts(reports, "ffn_in", verdicts)
         activated = self.activation(hidden)
         if protected:
             clipped = np.clip(activated, -self.activation_bound, self.activation_bound)
-            restricted = int(np.count_nonzero(clipped != activated))
-            if restricted and report is not None:
-                report.record_detection("ffn_activation", restricted)
-                report.record_restoration("ffn_activation", restricted)
+            changed = clipped != activated
+            if changed.any():
+                counts = changed.reshape(len(reports), -1).sum(axis=1)
+                for report, count in zip(reports, counts):
+                    report.record_detection("ffn_activation", int(count))
+                    report.record_restoration("ffn_activation", int(count))
             activated = clipped
-        out = self.fc_out(activated, injector=injector, protected=protected)
-        self._record(self.fc_out, report, "ffn_out")
+        out, verdicts = self.fc_out(activated, router, protected)
+        record_verdicts(reports, "ffn_out", verdicts)
         return out
-
-    @staticmethod
-    def _record(layer: ProtectedLinear, report: FaultToleranceReport | None, stage: str) -> None:
-        if report is None or layer.last_verdict is None:
-            return
-        report.record_detection(stage, layer.last_verdict.detected)
-        report.record_correction(stage, layer.last_verdict.corrected)
-        report.record_uncorrectable(stage, layer.last_verdict.uncorrectable)

@@ -14,10 +14,14 @@ import os
 
 import numpy as np
 
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultRouter
 from repro.fault.models import FaultSite
 from repro.fp.float16 import fp16_matmul
-from repro.gemm.checksum import ChecksumVerdict, encode_strided_row_checksums, verify_strided_checksums
+from repro.gemm.checksum import (
+    ChecksumVerdict,
+    encode_strided_row_checksums,
+    verify_strided_checksums_stacked,
+)
 
 
 # Float32 constants for the opt-in fast GELU path.  In the default expression
@@ -80,12 +84,13 @@ class Embedding:
         self.position = (rng.standard_normal((max_seq_len, dim)) * scale).astype(np.float32)
 
     def __call__(self, token_ids: np.ndarray) -> np.ndarray:
+        """Embed ``token_ids`` of shape ``(..., batch, seq_len)``."""
         token_ids = np.asarray(token_ids)
-        if token_ids.ndim != 2:
-            raise ValueError("token_ids must have shape (batch, seq_len)")
+        if token_ids.ndim < 2:
+            raise ValueError("token_ids must have shape (..., batch, seq_len)")
         if token_ids.max() >= self.vocab_size or token_ids.min() < 0:
             raise ValueError("token id out of vocabulary range")
-        seq_len = token_ids.shape[1]
+        seq_len = token_ids.shape[-1]
         if seq_len > self.position.shape[0]:
             raise ValueError(f"sequence length {seq_len} exceeds maximum {self.position.shape[0]}")
         return self.token[token_ids] + self.position[None, :seq_len, :]
@@ -120,34 +125,51 @@ class ProtectedLinear:
         self.bias = np.zeros(out_dim, dtype=np.float32) if bias else None
         # Weight checksums are encoded once (weights are static at inference).
         self._w_check1, self._w_check2 = encode_strided_row_checksums(self.weight, checksum_stride)
-        self.last_verdict: ChecksumVerdict | None = None
 
     def __call__(
         self,
         x: np.ndarray,
-        injector: FaultInjector | None = None,
+        router: FaultRouter,
         protected: bool = True,
-    ) -> np.ndarray:
-        """Apply the layer to ``x`` of shape ``(..., in_dim)``."""
+    ) -> tuple[np.ndarray, list[ChecksumVerdict] | None]:
+        """Apply the layer to ``x`` of shape ``(trials, ..., in_dim)``.
+
+        Each trial's rows are one ``(rows, in_dim) @ (in_dim, out_dim)``
+        product: the input is reshaped to ``(trials, rows, in_dim)`` and the
+        GEMM is batched on the last two dimensions, never flattened over the
+        trial axis (a fused 2D GEMM can pick a different kernel blocking for
+        the larger row count and drift in the last bits).  The product is
+        offered to ``router`` at :data:`FaultSite.LINEAR`, then -- when
+        ``protected`` -- verified and corrected in place against the
+        checksum GEMMs before the bias add.
+
+        Returns ``(y, verdicts)`` with one verdict per trial, or
+        ``verdicts=None`` when unprotected.
+        """
         x = np.asarray(x, dtype=np.float32)
-        lead = x.shape[:-1]
-        x2 = x.reshape(-1, self.in_dim)
-        y = fp16_matmul(x2, self.weight)
-        if injector is not None:
-            injector.corrupt(FaultSite.LINEAR, y)
+        x3 = x.reshape(x.shape[0], -1, self.in_dim)
+        y = fp16_matmul(x3, self.weight)
+        router.corrupt(FaultSite.LINEAR, y)
+        verdicts = None
         if protected:
-            y_check1 = fp16_matmul(x2, self._w_check1)
-            y_check2 = fp16_matmul(x2, self._w_check2)
-            self.last_verdict = verify_strided_checksums(
+            verdicts = verify_strided_checksums_stacked(
                 y,
-                y_check1,
-                y_check2,
+                fp16_matmul(x3, self._w_check1),
+                fp16_matmul(x3, self._w_check2),
                 stride=self.checksum_stride,
                 atol=self.checksum_atol,
                 rtol=self.checksum_rtol,
             )
-        else:
-            self.last_verdict = None
         if self.bias is not None:
             y = y + self.bias
-        return y.reshape(lead + (self.out_dim,))
+        return y.reshape(x.shape[:-1] + (self.out_dim,)), verdicts
+
+
+def record_verdicts(reports, stage: str, verdicts) -> None:
+    """Record a linear layer's per-trial verdicts in the per-trial reports.
+
+    ``verdicts`` is ``None`` for an unprotected layer, which records nothing.
+    """
+    if verdicts is not None:
+        for report, verdict in zip(reports, verdicts):
+            report.record_verdict(stage, verdict)

@@ -15,8 +15,8 @@ import numpy as np
 from repro.attention.tiling import merge_heads, split_heads
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.schemes import build_scheme
-from repro.fault.injector import FaultInjector
-from repro.transformer.layers import ProtectedLinear
+from repro.fault.injector import FaultRouter
+from repro.transformer.layers import ProtectedLinear, record_verdicts
 
 DEFAULT_SCHEME = "efta_unified"
 
@@ -73,35 +73,32 @@ class MultiHeadAttention:
     def __call__(
         self,
         x: np.ndarray,
-        injector: FaultInjector | None = None,
-        report: FaultToleranceReport | None = None,
+        router: FaultRouter,
+        reports: list[FaultToleranceReport],
     ) -> np.ndarray:
-        """Apply self-attention to ``x`` of shape ``(batch, seq_len, hidden_dim)``."""
+        """Self-attention over ``x`` of shape ``(trials, batch, seq_len, hidden_dim)``.
+
+        ``reports`` holds one report per trial; projection verdicts and the
+        scheme's attention report land in the trial's own report.
+        """
         x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 3:
-            raise ValueError("expected input of shape (batch, seq_len, hidden_dim)")
+        if x.ndim != 4:
+            raise ValueError("expected input of shape (trials, batch, seq_len, hidden_dim)")
         protect_linear = self.protects_linear
-        q = self.q_proj(x, injector=injector, protected=protect_linear)
-        k = self.k_proj(x, injector=injector, protected=protect_linear)
-        v = self.v_proj(x, injector=injector, protected=protect_linear)
-        for proj, stage in ((self.q_proj, "q_proj"), (self.k_proj, "k_proj"), (self.v_proj, "v_proj")):
-            self._record(proj, report, stage)
+        q, vq = self.q_proj(x, router, protect_linear)
+        k, vk = self.k_proj(x, router, protect_linear)
+        v, vv = self.v_proj(x, router, protect_linear)
+        for verdicts, stage in ((vq, "q_proj"), (vk, "k_proj"), (vv, "v_proj")):
+            record_verdicts(reports, stage, verdicts)
 
-        qh = split_heads(q, self.num_heads)
-        kh = split_heads(k, self.num_heads)
-        vh = split_heads(v, self.num_heads)
-        out_heads, attn_report = self.attention.forward(qh, kh, vh, injector=injector)
-        if report is not None:
+        heads, attn_reports = self.attention.forward_batched(
+            split_heads(q, self.num_heads),
+            split_heads(k, self.num_heads),
+            split_heads(v, self.num_heads),
+            router,
+        )
+        for report, attn_report in zip(reports, attn_reports):
             report.merge(attn_report)
-        out = merge_heads(out_heads)
-        projected = self.out_proj(out, injector=injector, protected=protect_linear)
-        self._record(self.out_proj, report, "out_proj")
-        return projected
-
-    @staticmethod
-    def _record(layer: ProtectedLinear, report: FaultToleranceReport | None, stage: str) -> None:
-        if report is None or layer.last_verdict is None:
-            return
-        report.record_detection(stage, layer.last_verdict.detected)
-        report.record_correction(stage, layer.last_verdict.corrected)
-        report.record_uncorrectable(stage, layer.last_verdict.uncorrectable)
+        out, verdicts = self.out_proj(merge_heads(heads), router, protect_linear)
+        record_verdicts(reports, "out_proj", verdicts)
+        return out

@@ -6,6 +6,12 @@ The protection scheme is selected by registry name (``"none"``, ``"efta"``,
 so the same model runs end-to-end under every registered scheme -- the code
 path behind the paper's cross-scheme comparisons and the
 ``transformer_inference`` fault campaigns.
+
+The forward carries a leading *trial* axis through every layer
+(:meth:`TransformerModel.forward_batched`): a fault campaign stacks a chunk
+of trials, each with its own injector behind one
+:class:`~repro.fault.injector.FaultRouter`, and a single forward is the
+one-trial case.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from repro.core.config import FaultToleranceReport
 from repro.core.schemes import get_scheme
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultInjector, FaultRouter
 from repro.transformer.configs import TransformerConfig
 from repro.transformer.ffn import FeedForward
 from repro.transformer.layers import Embedding, LayerNorm, ProtectedLinear, gelu, relu
@@ -63,12 +69,13 @@ class TransformerBlock:
     def __call__(
         self,
         x: np.ndarray,
-        injector: FaultInjector | None,
-        report: FaultToleranceReport | None,
+        router: FaultRouter,
+        reports: list[FaultToleranceReport],
     ) -> np.ndarray:
+        """Apply the block to ``x`` of shape ``(trials, batch, seq_len, hidden_dim)``."""
         protected = self.attention.protects_linear
-        x = x + self.attention(self.ln_attn(x), injector=injector, report=report)
-        x = x + self.ffn(self.ln_ffn(x), injector=injector, report=report, protected=protected)
+        x = x + self.attention(self.ln_attn(x), router, reports)
+        x = x + self.ffn(self.ln_ffn(x), router, reports, protected)
         return x
 
 
@@ -122,29 +129,51 @@ class TransformerModel:
         """Whether the configured scheme verifies the model's linear GEMMs."""
         return self.scheme_cls.protects_linear
 
+    def forward_batched(
+        self,
+        token_ids: np.ndarray,
+        router: FaultRouter,
+    ) -> tuple[np.ndarray, np.ndarray | None, list[FaultToleranceReport]]:
+        """Forward ``token_ids`` of shape ``(trials, batch, seq_len)``.
+
+        Returns ``(hidden_states, logits, reports)`` with one report per
+        trial.  Each trial's slice is independent of the other trials in the
+        stack: matmuls stay batched on the last two dimensions, reductions
+        run over the last axis, and every trial's injector sees the
+        ``corrupt`` offers a one-trial stack would make.  The LM head is
+        verified but -- being no part of a block -- not recorded.
+        """
+        token_ids = np.asarray(token_ids)
+        reports = [FaultToleranceReport() for _ in range(token_ids.shape[0])]
+        x = self.embedding(token_ids)
+        for block in self.blocks:
+            x = block(x, router, reports)
+        x = self.final_norm(x)
+        logits = None
+        if self.lm_head is not None:
+            logits, _ = self.lm_head(x, router, self.protects_linear)
+        return x, logits, reports
+
     def forward(
         self,
         token_ids: np.ndarray,
         injector: FaultInjector | None = None,
     ) -> TransformerOutput:
-        """Run a full forward pass over ``token_ids`` of shape (batch, seq_len)."""
-        report = FaultToleranceReport()
+        """Run a full forward pass over ``token_ids`` of shape (batch, seq_len).
+
+        The one-trial call of :meth:`forward_batched`; the report's
+        ``injected`` list holds the records ``injector`` applied during it.
+        """
         already_applied = injector.applied_count if injector is not None else 0
-        x = self.embedding(np.asarray(token_ids))
-        for block in self.blocks:
-            x = block(x, injector, report)
-        x = self.final_norm(x)
-        logits = None
-        if self.lm_head is not None:
-            logits = self.lm_head(x, injector=injector, protected=self.protects_linear)
+        x, logits, reports = self.forward_batched(
+            np.asarray(token_ids)[None], FaultRouter.for_trial(injector)
+        )
+        report = reports[0]
         if injector is not None:
-            # Attention sub-kernels already copied their own records into the
-            # merged report; add only the ones no sub-report captured.
-            seen = {id(r) for r in report.injected}
-            report.injected.extend(
-                r for r in injector.records[already_applied:] if id(r) not in seen
-            )
-        return TransformerOutput(hidden_states=x, logits=logits, report=report)
+            report.injected.extend(injector.records[already_applied:])
+        return TransformerOutput(
+            hidden_states=x[0], logits=None if logits is None else logits[0], report=report
+        )
 
     __call__ = forward
 

@@ -15,6 +15,7 @@ from repro.core.config import AttentionConfig
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta import EFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
+from repro.core import schemes as schemes_module
 from repro.core.schemes import (
     ProtectionScheme,
     available_schemes,
@@ -22,6 +23,8 @@ from repro.core.schemes import (
     get_scheme,
     register_scheme,
 )
+from repro.fault.injector import FaultInjector, FaultRouter
+from repro.fault.models import FaultSite
 
 BUILTIN_SCHEMES = ["decoupled", "efta", "efta_unified", "none"]
 
@@ -74,6 +77,10 @@ class TestRegistry:
             assert get_scheme(name).protects_linear is (name != "none")
 
 
+def _no_flash(*args, **kwargs):
+    raise AssertionError("the tile loop must run, not flash_attention")
+
+
 class TestParityWithHardwiredClasses:
     """Registry forward == pre-refactor direct class forward, bit for bit."""
 
@@ -92,9 +99,15 @@ class TestParityWithHardwiredClasses:
         np.testing.assert_array_equal(out_scheme, out_direct)
         assert rep_scheme.clean and rep_direct.clean
 
-    def test_none_identical_to_flash_attention(self, problem):
+    def test_none_identical_to_flash_attention(self, problem, monkeypatch):
+        # A call without pending attention-site faults runs flash_attention
+        # itself; an armed attention-site fault that never lands (its
+        # occurrence is never reached) drives the offered tile loop instead.
         q, k, v, cfg = problem
-        out, report = build_scheme("none", cfg)(q, k, v)
+        monkeypatch.setattr(schemes_module, "flash_attention", _no_flash)
+        never = FaultInjector.single_bit_flip(FaultSite.GEMM_QK, occurrence=10**9)
+        out, report = build_scheme("none", cfg)(q, k, v, injector=never)
+        assert not never.records
         reference = flash_attention(q, k, v, block_size=cfg.block_size, mixed_precision=True)
         np.testing.assert_array_equal(out, reference)
         assert report.clean
@@ -114,3 +127,96 @@ class TestParityWithHardwiredClasses:
         out, _ = build_scheme(name, cfg)(q, k, v)
         reference, _ = build_scheme("none", cfg)(q, k, v)
         np.testing.assert_allclose(out, reference, rtol=2e-2, atol=2e-2)
+
+
+class TestUnprotectedFlashChoice:
+    """Scheme ``none`` answers with flash unless a pending fault needs the offers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"flash": 0, "tile": 0}
+        flash = schemes_module.flash_attention
+        tile = schemes_module.UnprotectedAttention._tile_loop
+
+        def spy_flash(*args, **kwargs):
+            calls["flash"] += 1
+            return flash(*args, **kwargs)
+
+        def spy_tile(self, *args, **kwargs):
+            calls["tile"] += 1
+            return tile(self, *args, **kwargs)
+
+        monkeypatch.setattr(schemes_module, "flash_attention", spy_flash)
+        monkeypatch.setattr(schemes_module.UnprotectedAttention, "_tile_loop", spy_tile)
+        return calls
+
+    @staticmethod
+    def _stack(problem, n_trials):
+        q, k, v, cfg = problem
+        return [np.stack([x] * n_trials) for x in (q, k, v)], cfg
+
+    def test_linear_only_faults_take_flash(self, problem, calls):
+        (q, k, v), cfg = self._stack(problem, 2)
+        injectors = [FaultInjector.single_bit_flip(FaultSite.LINEAR) for _ in range(2)]
+        build_scheme("none", cfg).forward_batched(q, k, v, FaultRouter(injectors))
+        assert calls == {"flash": 1, "tile": 0}
+        assert all(injector.armed for injector in injectors)
+
+    def test_fault_free_call_takes_flash(self, problem, calls):
+        q, k, v, cfg = problem
+        build_scheme("none", cfg)(q, k, v)
+        assert calls == {"flash": 1, "tile": 0}
+
+    @pytest.mark.parametrize(
+        "site", [FaultSite.GEMM_QK, FaultSite.SUBTRACT_EXP, FaultSite.GEMM_PV, FaultSite.NORMALIZE]
+    )
+    def test_any_pending_attention_fault_takes_the_tile_loop(self, problem, calls, site):
+        (q, k, v), cfg = self._stack(problem, 3)
+        injectors = [
+            FaultInjector.single_bit_flip(FaultSite.LINEAR),
+            FaultInjector.inert(),
+            FaultInjector.single_bit_flip(site, dtype="fp32", bit=20),
+        ]
+        build_scheme("none", cfg).forward_batched(q, k, v, FaultRouter(injectors))
+        groups = q.shape[1] * q.shape[2]
+        assert calls == {"flash": 0, "tile": groups}
+        assert len(injectors[2].records) == 1
+
+    def test_landed_one_shot_fault_frees_later_calls(self, problem, calls):
+        q, k, v, cfg = problem
+        scheme = build_scheme("none", cfg)
+        injector = FaultInjector.single_bit_flip(FaultSite.GEMM_QK, bit=14)
+        router = FaultRouter.for_trial(injector)
+        scheme.forward_batched(q[None], k[None], v[None], router)
+        assert calls["tile"] > 0 and calls["flash"] == 0
+        scheme.forward_batched(q[None], k[None], v[None], router)
+        assert calls["flash"] == 1
+
+    def test_persistent_fault_keeps_the_tile_loop(self, problem, calls):
+        q, k, v, cfg = problem
+        scheme = build_scheme("none", cfg)
+        injector = FaultInjector.single_bit_flip(FaultSite.GEMM_QK, fault_model="stuck_at_1")
+        router = FaultRouter.for_trial(injector)
+        scheme.forward_batched(q[None], k[None], v[None], router)
+        scheme.forward_batched(q[None], k[None], v[None], router)
+        assert calls["flash"] == 0
+
+    def test_site_probe_takes_the_tile_loop(self, problem, calls):
+        from repro.fault.campaign import _SiteProbe
+
+        q, k, v, cfg = problem
+        probe = _SiteProbe()
+        build_scheme("none", cfg)(q, k, v, injector=probe)
+        assert calls["flash"] == 0
+        assert probe.counts[FaultSite.GEMM_QK] == q.shape[0] * q.shape[1] * 3 * 3
+
+    def test_campaign_linear_faults_take_flash(self, calls):
+        from repro.fault.batched import _transformer_inference_batch
+        from repro.fault.campaign import _transformer_fixture
+
+        params = {"scheme": "none", "hidden_dim": 16, "seq_len": 8, "site": "linear"}
+        _transformer_fixture(params)  # the fixture's probe forward runs the tile loop
+        calls.update(flash=0, tile=0)
+        rngs = [np.random.default_rng(i) for i in range(4)]
+        assert len(_transformer_inference_batch(rngs, params)) == 4
+        assert calls["flash"] > 0 and calls["tile"] == 0

@@ -80,7 +80,7 @@ class TestStridedABFT:
         out_c2 = fp16_matmul(probs, v_c2)
         expected = out.copy()
         out[4, 9] -= 30.0
-        verdict = abft.verify_output(out, out_c1, out_c2)
+        (verdict,) = abft.verify_output_stacked(out[None], out_c1[None], out_c2[None])
         assert verdict.corrected == 1
         np.testing.assert_allclose(out, expected, atol=0.5)
 
@@ -89,7 +89,9 @@ class TestStridedABFT:
         v = rng.standard_normal((32, 32)).astype(np.float32)
         v_c1, v_c2 = abft.encode_value_checksums(v)
         out = fp16_matmul(probs, v)
-        verdict = abft.verify_output(out, fp16_matmul(probs, v_c1), fp16_matmul(probs, v_c2))
+        (verdict,) = abft.verify_output_stacked(
+            out[None], fp16_matmul(probs, v_c1)[None], fp16_matmul(probs, v_c2)[None]
+        )
         assert verdict.clean
 
     def test_residuals_near_zero_for_clean_block(self, abft, rng):

@@ -72,6 +72,8 @@ class TestProtectedMatmul:
 class _Edits:
     """Applies fixed per-trial edits to the offered product (a stand-in injector/router)."""
 
+    armed = True  # read by the one-trial router of ``protected_matmul``
+
     def __init__(self, edits):
         self.edits = edits
 

@@ -7,6 +7,11 @@ execution-speed optimisation, never a numerics trade-off.  Campaigns without a
 batched kernel still run chunked: their batched path is the per-trial scalar
 fallback, whose seeds and faultload trial indices must not shift with the
 chunking.
+
+For ``transformer_inference`` both paths run the one stacked model forward
+(the scalar kernel forwards a one-trial chunk), so these comparisons pin that
+a trial's record does not depend on its chunk; the byte goldens in
+``test_transformer_inference_golden.py`` are the numerics oracle.
 """
 
 from __future__ import annotations
@@ -266,25 +271,17 @@ class TestFaultModelParity:
 
 
 class TestBatchedKernelContracts:
-    def test_scheme_without_batched_forward_declines_before_consuming_rngs(self):
-        # A scheme whose attention kernel has no stacked forward must decline
-        # the chunk -- leaving every per-trial generator untouched for the
-        # scalar fallback -- rather than crash or consume draws.
-        from repro.core import schemes as schemes_module
+    def test_transformer_batch_declines_only_at_rest_faults(self):
         from repro.fault.batched import _transformer_inference_batch
 
-        @schemes_module.register_scheme("parity_scalar_only")
-        class _ScalarOnly(schemes_module.UnprotectedAttention):
-            supports_batched = False
-
-        try:
-            rngs = [np.random.default_rng(i) for i in range(3)]
-            states = [rng.bit_generator.state for rng in rngs]
-            params = {"scheme": "parity_scalar_only", "hidden_dim": 16, "seq_len": 8}
-            assert _transformer_inference_batch(rngs, params) is None
-            assert [rng.bit_generator.state for rng in rngs] == states
-        finally:
-            schemes_module._SCHEMES.pop("parity_scalar_only", None)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        params = {"hidden_dim": 16, "seq_len": 8, "fault_model": "weights_at_rest"}
+        assert _transformer_inference_batch(rngs, params) is None
+        assert [rng.bit_generator.state for rng in rngs] == states
+        for scheme in ("none", "efta", "efta_unified", "decoupled"):
+            params = {"scheme": scheme, "hidden_dim": 16, "seq_len": 8}
+            assert len(_transformer_inference_batch(rngs, params)) == 3
 
     def test_transformer_batch_rejects_unavailable_site_like_scalar(self):
         from repro.fault.batched import _transformer_inference_batch

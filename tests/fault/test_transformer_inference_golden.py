@@ -13,6 +13,22 @@ run: a ``decoupled`` trial whose activations go non-finite sends whole
 non-finite matrices through the later linear layers (stride classes with
 two or more non-finite values, all uncorrectable), and ``efta_unified``
 trials repair lone non-finite values from the class checksum.
+
+The remaining fixtures pin every other route through the kernel.  They were
+captured while the scalar kernel, the stacked forward and the unprotected
+flash fast path were still separate implementations, all producing these
+bytes, and are now the parity oracle of the one stacked forward:
+
+* ``none_linear`` -- scheme ``none`` with linear faults only, the case the
+  unprotected attention answers with the vectorised flash recurrence;
+* ``none_attention`` -- scheme ``none`` with faults at attention sites, which
+  must run the tile loop that offers every intermediate to the injectors;
+* ``efta`` -- per-iteration verification, the scheme with no other
+  transformer golden;
+* ``efta_unified_ber`` -- Poisson multi-fault trials (``bit_error_rate``);
+* ``weights_at_rest`` -- stored-weight corruption, the per-trial at-rest path;
+* ``none_replay`` -- a faultload replay of a persistent (stuck-at) fault at an
+  attention site, which keeps its injector armed for the whole forward.
 """
 
 from __future__ import annotations
@@ -30,31 +46,43 @@ from repro.fault.runner import TRIAL_BATCH_ENV
 
 GOLDENS = Path(__file__).parent / "goldens"
 SCHEMES = ("decoupled", "efta_unified")
+MODEL = {"model": "GPT2", "hidden_dim": 32, "seq_len": 16}
+SITES = ["linear", "gemm_qk", "gemm_pv"]
 
 
-def _spec(scheme: str) -> ExperimentSpec:
+def _spec(scheme: str, n_trials: int = 64, faultload: str = "", **params) -> ExperimentSpec:
     return ExperimentSpec(
         campaign="transformer_inference",
-        n_trials=64,
+        n_trials=n_trials,
         seed=1,
-        params={
-            "model": "GPT2",
-            "hidden_dim": 32,
-            "seq_len": 16,
-            "site": ["linear", "gemm_qk", "gemm_pv"],
-            "scheme": scheme,
-        },
+        params={**MODEL, "scheme": scheme, **params},
+        faultload=faultload,
     )
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+CASES = {
+    "decoupled": _spec("decoupled", site=SITES),
+    "efta_unified": _spec("efta_unified", site=SITES),
+    "efta": _spec("efta", site=SITES),
+    "none_linear": _spec("none", site="linear"),
+    "none_attention": _spec("none", site=["gemm_qk", "subtract_exp", "gemm_pv"]),
+    "efta_unified_ber": _spec("efta_unified", n_trials=32, site=SITES, bit_error_rate=3e-8),
+    "weights_at_rest": _spec("efta_unified", n_trials=32, fault_model="weights_at_rest"),
+    # The artifact path is relative, so the header bytes do not depend on
+    # where the repository is checked out; the test runs from GOLDENS.
+    "none_replay": _spec("none", n_trials=8, faultload="efta_site_faultload.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("batch", ["1", "16"])
 @pytest.mark.parametrize("executor,n_workers", [("serial", 1), ("process", 2)])
-def test_canonical_records_match_golden(scheme, batch, executor, n_workers, tmp_path, monkeypatch):
+def test_canonical_records_match_golden(case, batch, executor, n_workers, tmp_path, monkeypatch):
     monkeypatch.setenv(TRIAL_BATCH_ENV, batch)
-    name = f"transformer_inference_{scheme}.jsonl"
+    monkeypatch.chdir(GOLDENS)
+    name = f"transformer_inference_{case}.jsonl"
     out = tmp_path / name
-    run_experiment(_spec(scheme), executor=executor, n_workers=n_workers, results_path=out)
+    run_experiment(CASES[case], executor=executor, n_workers=n_workers, results_path=out)
     assert out.read_bytes() == (GOLDENS / name).read_bytes()
 
 
@@ -84,7 +112,7 @@ def test_golden_exercises_both_nonfinite_branches(scheme, tmp_path, monkeypatch)
         for attr in ("verify_strided_checksums", "verify_strided_checksums_stacked"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, spy(getattr(checksum, attr)))
-    run_experiment(_spec(scheme), executor="serial", results_path=tmp_path / "out.jsonl")
+    run_experiment(CASES[scheme], executor="serial", results_path=tmp_path / "out.jsonl")
     assert seen["lone"] > 0
     if scheme == "decoupled":
         assert seen["multi"] > 0

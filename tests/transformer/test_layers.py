@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultInjector, FaultRouter
 from repro.fault.models import FaultSite
 from repro.transformer.layers import Embedding, LayerNorm, ProtectedLinear, gelu, relu
 
@@ -108,46 +108,59 @@ class TestEmbedding:
 
 
 class TestProtectedLinear:
+    """The layer runs over a leading trial axis and returns one verdict per trial."""
+
     def test_matches_plain_matmul(self, rng):
         layer = ProtectedLinear(16, 24, rng)
         x = rng.standard_normal((4, 16)).astype(np.float32)
         expected = x @ layer.weight + layer.bias
-        np.testing.assert_allclose(layer(x), expected, rtol=5e-3, atol=5e-3)
+        y, _ = layer(x[None], FaultRouter([]))
+        np.testing.assert_allclose(y[0], expected, rtol=5e-3, atol=5e-3)
 
     def test_leading_dimensions_preserved(self, rng):
         layer = ProtectedLinear(8, 8, rng)
-        x = rng.standard_normal((2, 5, 8)).astype(np.float32)
-        assert layer(x).shape == (2, 5, 8)
+        x = rng.standard_normal((3, 2, 5, 8)).astype(np.float32)
+        y, verdicts = layer(x, FaultRouter([]))
+        assert y.shape == (3, 2, 5, 8)
+        assert len(verdicts) == 3
 
     def test_no_bias(self, rng):
         layer = ProtectedLinear(8, 8, rng, bias=False)
         assert layer.bias is None
-        assert np.all(np.isfinite(layer(np.zeros((1, 8), dtype=np.float32))))
+        y, _ = layer(np.zeros((1, 1, 8), dtype=np.float32), FaultRouter([]))
+        assert np.all(np.isfinite(y))
 
     def test_clean_run_verdict_clean(self, rng):
         layer = ProtectedLinear(32, 64, rng)
-        x = rng.standard_normal((8, 32)).astype(np.float32)
-        layer(x)
-        assert layer.last_verdict is not None
-        assert layer.last_verdict.clean
+        x = rng.standard_normal((2, 8, 32)).astype(np.float32)
+        _, verdicts = layer(x, FaultRouter([]))
+        assert [v.clean for v in verdicts] == [True, True]
 
     def test_unprotected_mode_records_nothing(self, rng):
         layer = ProtectedLinear(8, 8, rng)
-        layer(np.ones((2, 8), dtype=np.float32), protected=False)
-        assert layer.last_verdict is None
+        _, verdicts = layer(np.ones((1, 2, 8), dtype=np.float32), FaultRouter([]), protected=False)
+        assert verdicts is None
 
     def test_fault_detected_and_corrected(self, rng):
         layer = ProtectedLinear(32, 64, rng)
         x = rng.standard_normal((8, 32)).astype(np.float32)
-        clean = layer(x)
+        clean, _ = layer(x[None], FaultRouter([]))
         injector = FaultInjector.single_bit_flip(FaultSite.LINEAR, seed=0, bit=13, dtype="fp16")
-        faulty = layer(x, injector=injector)
-        assert layer.last_verdict.detected >= 1
-        assert layer.last_verdict.corrected >= 1
+        faulty, (verdict,) = layer(x[None], FaultRouter.for_trial(injector))
+        assert verdict.detected >= 1
+        assert verdict.corrected >= 1
         np.testing.assert_allclose(faulty, clean, rtol=2e-2, atol=2e-2)
+
+    def test_fault_lands_in_its_own_trial(self, rng):
+        layer = ProtectedLinear(32, 64, rng)
+        x = np.repeat(rng.standard_normal((1, 8, 32)).astype(np.float32), 3, axis=0)
+        injector = FaultInjector.single_bit_flip(FaultSite.LINEAR, seed=0, bit=13, dtype="fp16")
+        router = FaultRouter([FaultInjector.inert(), injector, FaultInjector.inert()])
+        _, verdicts = layer(x, router)
+        assert [v.detected > 0 for v in verdicts] == [False, True, False]
 
     def test_weight_checksums_precomputed_once(self, rng):
         layer = ProtectedLinear(16, 16, rng)
         c1_before = layer._w_check1.copy()
-        layer(rng.standard_normal((2, 16)).astype(np.float32))
+        layer(rng.standard_normal((1, 2, 16)).astype(np.float32), FaultRouter([]))
         np.testing.assert_array_equal(layer._w_check1, c1_before)
