@@ -10,11 +10,12 @@ of its ``metric`` is tight enough (half-width at most ``target_ci``), or
 its bound clears/misses ``threshold``, or ``max_trials`` is reached --
 otherwise it is topped up by another ``batch``.
 
-Determinism: per-trial seeds still derive from prefix-stable
-``SeedSequence.spawn`` streams, rounds grow by contiguous index ranges, and
-stopping decisions read *committed records only* (never in-flight trials),
-so the executed trial set -- and therefore the JSONL checkpoint bytes -- is
-identical for every backend, worker count and interruption history.
+Determinism: trial ``i``'s seed is ``SeedSequence(seed, spawn_key=(i,))``,
+identical to ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``; rounds grow
+by contiguous index ranges, and stopping decisions read *committed records
+only* (never in-flight trials), so the executed trial set -- and therefore the
+JSONL checkpoint bytes -- is identical for every backend, worker count and
+interruption history.
 
 ::
 

@@ -4,8 +4,9 @@ An :class:`Executor` turns pending trial work -- ``(grid point, campaign
 spec, trial indices)`` slices -- into finished ``(point, trial, record)``
 triples.  The engine owns specs, checkpoints and aggregation; executors own
 *only* the scheduling, so every backend is bit-identical by construction:
-per-trial seeds derive from the spec root (``SeedSequence.spawn``) and
-results are keyed by index, making completion order irrelevant.
+trial ``i``'s seed is ``SeedSequence(seed, spawn_key=(i,))`` (identical to
+``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``) and results are keyed
+by index, making completion order irrelevant.
 
 Built-in backends (select by name, e.g. ``--executor process``):
 

@@ -43,11 +43,12 @@ class ExperimentSpec:
     n_trials:
         Trials per grid point.
     seed:
-        Root seed shared by every grid point.  Per-trial generators derive
-        from ``SeedSequence(seed).spawn``, so results are bit-identical for
-        any executor backend, worker count or scheduling -- and sharing the
-        root across grid points gives common random numbers, sharpening
-        cross-cell comparisons.
+        Root seed shared by every grid point.  Trial ``i``'s generator is
+        seeded by ``SeedSequence(seed, spawn_key=(i,))`` (identical to
+        ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``), so results are
+        bit-identical for any executor backend, worker count or scheduling --
+        and sharing the root across grid points gives common random numbers,
+        sharpening cross-cell comparisons.
     params:
         Parameters shared by every grid point; a grid axis overrides a base
         key of the same name.

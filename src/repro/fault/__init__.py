@@ -8,9 +8,11 @@ faults by FT-MPI, so injection targets the *outputs of computation steps*
 
 Monte-Carlo campaigns (the evidence behind Figures 12 and 14 and Tables 1-2)
 are registered per-trial kernels: a :class:`~repro.fault.runner.CampaignSpec`
-names a kernel and its parameters, and every trial draws from its own
-generator (``SeedSequence.spawn``), so records are bit-identical regardless
-of backend or worker count.  New workloads plug in with::
+names a kernel and its parameters, and trial ``i`` draws from its own
+generator seeded by ``SeedSequence(seed, spawn_key=(i,))`` (identical to
+``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``), so records are
+bit-identical regardless of backend or worker count.  New workloads plug in
+with::
 
     from repro.fault.runner import register_campaign
 
@@ -32,6 +34,7 @@ and run through :mod:`repro.exec` -- programmatically with
   (detection rate, false-alarm rate, coverage, error distributions).
 * :mod:`repro.fault.runner` -- the per-point campaign spec, the trial-kernel
   registry and per-trial iteration.
+* :mod:`repro.fault.seeds` -- the one per-trial seed derivation rule.
 * :mod:`repro.fault.campaign` -- the registered trial kernels and thin
   wrappers behind Figures 12 and 14, plus the ``transformer_inference``
   model-level kernel.

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.fault.models import FaultSite, FaultSpec, InjectionRecord
+from repro.fault.seeds import trial_seed
 from repro.fp.bitflip import bit_width, flip_bit
 
 #: On-disk faultload schema version this build reads and writes.
@@ -536,9 +537,10 @@ class Faultload:
 class FaultloadGenerator:
     """Pre-materializes a reproducible faultload (DAVOS-style SBFI generator).
 
-    Per-trial draws come from ``SeedSequence(seed).spawn(n_trials)`` -- the
-    same prefix-stable derivation the campaign runner uses -- so generating
-    the artifact twice (any machine, any chunking) yields identical bytes.
+    Trial ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))`` (identical
+    to ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``) -- the same
+    derivation the campaign runner uses -- so generating the artifact twice
+    (any machine, any chunking) yields identical bytes.
     """
 
     model: str
@@ -571,11 +573,8 @@ class FaultloadGenerator:
         }
         if self.bits:
             params["bits"] = [int(b) for b in self.bits]
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trials)
-        trials = tuple(
-            tuple(model.materialize(np.random.default_rng(s), self.shape, params))
-            for s in seeds
-        )
+        rngs = (np.random.default_rng(trial_seed(self.seed, t)) for t in range(self.n_trials))
+        trials = tuple(tuple(model.materialize(rng, self.shape, params)) for rng in rngs)
         header = {
             "schema_version": FAULTLOAD_SCHEMA_VERSION,
             "model": self.model,

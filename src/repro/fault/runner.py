@@ -14,8 +14,9 @@ Every fault-injection campaign plugs in with a single registered function:
   :class:`~repro.fault.metrics.CampaignResult` by default);
   :func:`register_campaign_batch` optionally attaches a batched kernel that
   produces the same records, byte for byte, for a chunk of trials.
-* :func:`_iter_trial_records` -- runs a slice of trial indices, each trial on
-  its own generator seeded by ``SeedSequence(spec.seed).spawn(n)[trial]``, so
+* :func:`_iter_trial_records` -- runs a slice of trial indices, trial ``i`` on
+  its own generator seeded by ``SeedSequence(spec.seed, spawn_key=(i,))``
+  (identical to ``SeedSequence(spec.seed).spawn(n)[i]`` for any ``n > i``), so
   records are bit-identical regardless of backend, worker count or chunking.
 
 Experiments are run by :mod:`repro.exec` (``run_experiment`` or
@@ -32,6 +33,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.fault.metrics import CampaignResult, TrialOutcome
+from repro.fault.seeds import trial_seed
 
 #: A per-trial record: a JSON-serialisable mapping produced by a trial kernel.
 TrialRecord = dict
@@ -86,9 +88,10 @@ class CampaignSpec:
     n_trials:
         Number of independent trials to run.
     seed:
-        Root seed.  Per-trial generators derive from
-        ``SeedSequence(seed).spawn(n_trials)``, so the same spec yields the
-        same trials no matter how they are sharded.
+        Root seed.  Trial ``i``'s generator is seeded by
+        ``SeedSequence(seed, spawn_key=(i,))``, identical to
+        ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``, so the same
+        spec yields the same trials no matter how they are sharded.
     params:
         Kernel-specific parameters (workload shape, fault model, protection
         scheme, thresholds ...).  Values must be JSON-serialisable.
@@ -152,8 +155,8 @@ class CampaignSpec:
         return cls.from_dict(json.loads(text))
 
     def trial_seeds(self) -> list[np.random.SeedSequence]:
-        """The per-trial seed sequences (``SeedSequence(seed).spawn``)."""
-        return np.random.SeedSequence(self.seed).spawn(self.n_trials)
+        """The per-trial seed sequences (:func:`~repro.fault.seeds.trial_seed`)."""
+        return [trial_seed(self.seed, index) for index in range(self.n_trials)]
 
 
 # --------------------------------------------------------------------------- #
@@ -323,10 +326,6 @@ def campaign_summaries() -> list[tuple[str, str]]:
 def _iter_trial_records(spec_dict: dict, indices: Sequence[int]):
     spec = CampaignSpec.from_dict(spec_dict)
     definition = get_campaign(spec.campaign)
-    # spawn() children are prefix-stable, so deriving only up to the largest
-    # index this batch needs yields the same per-trial seeds as spawning all
-    # n_trials (see tests/properties/test_property_campaign.py).
-    seeds = np.random.SeedSequence(spec.seed).spawn(max(indices) + 1)
     params_json = json.dumps(spec.params)
     # Each trial draws from its own generator, so chunking can never change
     # a trial's stream -- it only decides which trials share a kernel call.
@@ -334,7 +333,7 @@ def _iter_trial_records(spec_dict: dict, indices: Sequence[int]):
     items = list(indices)
     for start in range(0, len(items), chunk):
         batch_indices = items[start : start + chunk]
-        rngs = [np.random.default_rng(seeds[index]) for index in batch_indices]
+        rngs = [np.random.default_rng(trial_seed(spec.seed, index)) for index in batch_indices]
         records = definition.run_batch(rngs, params_json, indices=batch_indices)
         for index, record in zip(batch_indices, records):
             yield index, record
@@ -352,13 +351,13 @@ def _resume_key(spec_dict: dict) -> str:
     """Resume-identity of a spec: everything defining the trial *records*.
 
     Two fields are excluded: the cosmetic ``name`` label, and ``n_trials`` --
-    per-trial seeds derive from prefix-stable ``SeedSequence.spawn`` streams,
-    so trial ``i``'s record is identical under any trial count and a
-    checkpoint written at one ``n_trials`` resumes (and extends) under
-    another.  Adaptive campaigns rely on this: a point topped up past its
-    initial count re-opens the same file.  Shrinking below the records
-    already on disk is refused separately, by count, in
-    :meth:`~repro.exec.checkpoint.TrialCheckpoint.load`.
+    trial ``i``'s seed is ``SeedSequence(seed, spawn_key=(i,))``, identical to
+    ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i``, so trial ``i``'s
+    record is identical under any trial count and a checkpoint written at one
+    ``n_trials`` resumes (and extends) under another.  Adaptive campaigns rely
+    on this: a point topped up past its initial count re-opens the same file.
+    Shrinking below the records already on disk is refused separately, by
+    count, in :meth:`~repro.exec.checkpoint.TrialCheckpoint.load`.
     """
     data = {
         key: value

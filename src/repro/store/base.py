@@ -93,10 +93,10 @@ def experiment_resume_key(spec: "ExperimentSpec") -> str:
     """Resume-identity of an experiment: the fields that shape trial records.
 
     The cosmetic ``name``, the ``adaptive`` stopping policy and the
-    ``store`` backend are excluded: records are count-invariant
-    (prefix-stable seed streams), the policy only decides *how many* trials
-    run, and the backend only decides *where* they land -- so re-running a
-    results path with a different ``--target-ci`` (or after a
+    ``store`` backend are excluded: records are count-invariant (trial
+    ``i``'s seed does not depend on the count), the policy only decides *how
+    many* trials run, and the backend only decides *where* they land -- so
+    re-running a results path with a different ``--target-ci`` (or after a
     ``repro store convert``) extends the same results rather than refusing.
     ``n_trials`` stays in the key deliberately -- it is the sweep *shape* as
     written, and per-point handles guard their own record counts via

@@ -1,10 +1,10 @@
 """Golden-value regression tests for the seed campaigns.
 
-The campaigns are fully deterministic at a fixed spec/seed (per-trial
-generators derive from ``SeedSequence(seed).spawn``), so their aggregate
-statistics are pinned exactly.  These values guard the Figure 12 / Figure 14
-behaviour through any future runner or kernel refactor: a change that shifts
-the random stream or the trial arithmetic shows up here first.
+The campaigns are fully deterministic at a fixed spec/seed (trial ``i``'s
+generator is seeded by ``SeedSequence(seed, spawn_key=(i,))``), so their
+aggregate statistics are pinned exactly.  These values guard the Figure 12 /
+Figure 14 behaviour through any future runner or kernel refactor: a change
+that shifts the random stream or the trial arithmetic shows up here first.
 """
 
 from __future__ import annotations

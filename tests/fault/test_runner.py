@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exec import ExperimentSpec, run_experiment
@@ -13,9 +14,11 @@ from repro.exec.cli import main
 from repro.fault.metrics import CampaignResult
 from repro.fault.runner import (
     CampaignSpec,
+    _run_trial_batch,
     available_campaigns,
     get_campaign,
     register_campaign,
+    register_campaign_batch,
 )
 
 
@@ -176,6 +179,42 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 8})
         assert run_spec(SPEC).outcomes != run_spec(other).outcomes
+
+
+class TestPoolBatchSeeds:
+    """A pool batch derives only its own trials' seeds, never the prefix."""
+
+    HIGH = (10**6, 10**6 + 3)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_high_indices_without_prefix_spawn(self, monkeypatch, batched):
+        @register_campaign("test_runner_seed_draw")
+        def _draw(rng, params):
+            return {"draw": int(rng.integers(2**63))}
+
+        if batched:
+
+            @register_campaign_batch("test_runner_seed_draw")
+            def _draw_batch(rngs, params):
+                return [_draw(rng, params) for rng in rngs]
+
+        # numpy numbers spawned children from ``n_children_spawned``, so these
+        # are exactly the last four seeds of ``SeedSequence(5).spawn(10**6 + 4)``
+        # without materialising the million before them.
+        tail = np.random.SeedSequence(5, n_children_spawned=10**6).spawn(4)
+        expected = {
+            10**6 + k: {"draw": int(np.random.default_rng(seq).integers(2**63))}
+            for k, seq in enumerate(tail)
+        }
+
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError(f"spawn({n_children}) on the pool batch path")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        spec = CampaignSpec(campaign="test_runner_seed_draw", n_trials=1, seed=5)
+        records = _run_trial_batch(spec.to_dict(), list(self.HIGH))
+        assert records == [(index, expected[index]) for index in self.HIGH]
 
 
 class TestResume:

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.fault.runner import CampaignSpec
+from repro.fault.seeds import trial_seed
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -109,3 +110,23 @@ class TestSeedDerivation:
         draws_a = [np.random.default_rng(s).integers(2**63) for s in spec.trial_seeds()]
         draws_b = [np.random.default_rng(s).integers(2**63) for s in spec.trial_seeds()]
         assert draws_a == draws_b
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        n=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    @settings(**SETTINGS)
+    def test_trial_seed_equals_spawned_child(self, seed, n, data):
+        # Sparse, non-contiguous subsets, and indices past the first ``n``
+        # (an adaptive top-up extends a point beyond its initial n_trials).
+        indices = data.draw(
+            st.lists(st.integers(min_value=0, max_value=3 * n), min_size=1, max_size=8)
+        )
+        spawned = np.random.SeedSequence(seed).spawn(3 * n + 1)
+        for index in indices:
+            derived, reference = trial_seed(seed, index), spawned[index]
+            assert derived.entropy == reference.entropy
+            assert derived.spawn_key == reference.spawn_key
+            assert derived.pool_size == reference.pool_size
+            assert np.array_equal(derived.generate_state(4), reference.generate_state(4))
