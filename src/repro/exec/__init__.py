@@ -40,12 +40,7 @@ from repro.exec.distributed import (
     register_scale_policy,
     run_worker,
 )
-from repro.exec.engine import (
-    ExperimentRunner,
-    progress_sidecar_path,
-    read_manifest,
-    run_experiment,
-)
+from repro.exec.engine import ExperimentRunner, run_experiment
 from repro.exec.executors import (
     AsyncExecutor,
     Executor,
@@ -104,8 +99,6 @@ __all__ = [
     "campaign_results_path",
     "get_executor",
     "load_spec",
-    "progress_sidecar_path",
-    "read_manifest",
     "register_executor",
     "register_scale_policy",
     "run_experiment",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.fault.runner import CampaignSpec, _canonical_json, _resume_key
 
@@ -120,12 +120,7 @@ class TrialCheckpoint:
             return
         header_spec = self.spec.to_dict()
         header_spec["n_trials"] = len(ordered)
-        lines = [_canonical_json({"spec": header_spec})]
-        lines += [
-            _canonical_json({"trial": i, "record": record})
-            for i, record in enumerate(ordered)
-        ]
-        content = ("\n".join(lines) + "\n").encode()
+        content = canonical_record_bytes(header_spec, dict(enumerate(ordered)))
         if (
             self.path.exists()
             and self.path.stat().st_size == len(content)
@@ -137,6 +132,21 @@ class TrialCheckpoint:
         tmp = self.path.with_name(self.path.name + ".tmp")
         tmp.write_bytes(content)
         os.replace(tmp, self.path)
+
+
+def canonical_record_bytes(spec_dict: dict, records: dict[int, TrialRecord]) -> bytes:
+    """Checkpoint-JSONL bytes of one point: header + trial-sorted records.
+
+    The one encoder of the checkpoint format (:func:`parse_results_text` is
+    its parser).  ``spec_dict`` is emitted verbatim as the header, so the
+    caller decides its ``n_trials``: the on-disk count of a finished point,
+    the running cap of an in-flight one.
+    """
+    lines = [_canonical_json({"spec": spec_dict})]
+    lines += [
+        _canonical_json({"trial": i, "record": records[i]}) for i in sorted(records)
+    ]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def parse_results_text(text: str) -> tuple[dict | None, dict[int, TrialRecord]]:

@@ -29,7 +29,10 @@ directory, or a sqlite results database -- the store backend is sniffed from
 the path) without re-running anything -- for an interrupted run it prints
 the completion state instead and exits 1.  ``pareto`` joins a finished
 scheme sweep's detection statistics (with confidence intervals) against the
-roofline cost models and prints the Pareto-optimal scheme set.  ``query``
+roofline cost models and prints the Pareto-optimal scheme set.  Both read
+every store layout through :func:`repro.store.open_store`, as ``query`` and
+``store convert`` do; only an experiment stream and a manifest-less
+directory of checkpoint files are read outside the store.  ``query``
 streams filtered trial records (by campaign, point, scheme, fault model,
 detected flag) out of any store backend, on finished or in-flight runs,
 without loading whole record sets; ``store convert`` migrates a results
@@ -50,10 +53,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.exec.checkpoint import campaign_results_path
-from repro.exec.engine import MANIFEST_NAME, read_manifest, run_experiment
+from repro.exec.engine import run_experiment
 from repro.exec.executors import available_executors
-from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
+from repro.exec.results import ExperimentResult
 from repro.exec.spec import ExperimentSpec
 from repro.store import DEFAULT_STORE, available_stores, open_store, sniff_store
 
@@ -535,33 +537,65 @@ def cmd_faultload_describe(parser: argparse.ArgumentParser, args: argparse.Names
 
 
 def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    blocks = []
-    all_complete = True
-    for raw in args.results:
-        path = Path(raw)
-        if not path.exists():
-            # A run interrupted before any record landed writes no JSONL at
-            # all, but the engine still persisted its progress sidecar --
-            # show that completion state instead of refusing outright.
-            from repro.exec.engine import progress_sidecar_path
-
-            sidecar = progress_sidecar_path(path)
-            if sidecar.exists():
-                rendered = [_report_progress_sidecar(parser, sidecar)]
-            else:
-                parser.error(f"results path {raw} does not exist")
-        elif path.is_dir():
-            rendered = _report_directory(parser, path)
-        elif sniff_store(path) != DEFAULT_STORE:
-            rendered = [_report_store(parser, path)]
-        else:
-            rendered = [_report_file(parser, path)]
-        blocks.extend(text for text, _ in rendered)
-        all_complete = all_complete and all(complete for _, complete in rendered)
-    print("\n\n".join(blocks))
+    rendered = [block for raw in args.results for block in _report_path(parser, Path(raw))]
+    print("\n\n".join(text for text, _ in rendered))
     # Exit 1 on a partial run so scripts can gate on completion, after the
     # state has been shown (resume with the same spec + --results to finish).
-    return 0 if all_complete else 1
+    return 0 if all(complete for _, complete in rendered) else 1
+
+
+def _report_path(parser: argparse.ArgumentParser, path: Path) -> list[tuple[str, bool]]:
+    """Render one results path as ``[(text, complete), ...]`` blocks.
+
+    Every store layout renders through :func:`open_store`: the full
+    aggregate once complete, the completion state (a line for a campaign, a
+    per-point table for a sweep) while partial.
+    """
+    from repro.analysis.reporting import format_experiment_result
+
+    if _is_experiment_stream(path):
+        result = ExperimentResult.from_jsonl(path.read_text())
+        if not result.complete:
+            states = [(p.spec.label, len(p.records), p.spec.n_trials) for p in result.points]
+            label = f"experiment: {result.spec.label}"
+            return [(_format_partial_points(label, states), False)]
+        return [(format_experiment_result(result), True)]
+    store = open_store(path)
+    try:
+        if path.is_dir() and not store.manifest.exists():
+            # Checkpoint files without a sweep manifest: each file is a
+            # campaign results store of its own.
+            files = sorted(p for p in path.iterdir() if p.suffix == ".jsonl")
+            if not files:
+                parser.error(f"results directory {path} holds no JSONL files")
+            return [block for file in files for block in _report_path(parser, file)]
+        view = store.load_view()
+        if not view.complete:
+            return [(_format_partial_view(path, view), False)]
+        result = store.load_result(view)
+    except ValueError as exc:
+        parser.error(str(exc))
+    finally:
+        store.close()
+    title = None
+    if not result.spec.is_sweep:
+        # The point's own header count: an adaptive campaign stopped early.
+        spec = result.points[0].spec
+        title = f"campaign: {spec.label} ({spec.n_trials} trials)"
+    return [(format_experiment_result(result, title=title), True)]
+
+
+def _is_experiment_stream(path: Path) -> bool:
+    """Whether ``path`` opens with an ``{"experiment": ...}`` header line."""
+    if not path.is_file() or sniff_store(path) != DEFAULT_STORE:
+        return False
+    with path.open() as handle:
+        first = handle.readline()
+    try:
+        head = json.loads(first)
+    except ValueError:
+        return False
+    return isinstance(head, dict) and "experiment" in head
 
 
 def _completion_line(label: str, done: int, total: int) -> str:
@@ -569,114 +603,24 @@ def _completion_line(label: str, done: int, total: int) -> str:
     return f"{label} -- partial run: {done}/{total} trials ({percent:.1f}%)"
 
 
-def _report_progress_sidecar(
-    parser: argparse.ArgumentParser, sidecar: Path
-) -> tuple[str, bool]:
-    """Render the completion state of a run known only by its sidecar."""
-    try:
-        data = json.loads(sidecar.read_text())
-        spec = ExperimentSpec.from_dict(data["spec"])
-        progress = data["progress"]
-        done, total = progress["trials_done"], progress["trials_total"]
-    except (ValueError, KeyError, TypeError) as exc:
-        parser.error(f"cannot parse progress sidecar {sidecar}: {exc}")
-    line = _completion_line(f"campaign: {spec.label}", done, total)
-    return f"{line} [progress snapshot; no trial records on disk]", False
-
-
-def _report_file(parser: argparse.ArgumentParser, path: Path) -> tuple[str, bool]:
-    """Render one results file: ``(text, complete)``.
-
-    Handles a campaign checkpoint or an experiment stream; an incomplete
-    file renders its completion state instead of the aggregate.
-    """
-    from repro.analysis.reporting import format_experiment_result, format_point_result
-
-    text = path.read_text()
-    if _has_experiment_header(text):
-        result = ExperimentResult.from_jsonl(text)
-        if not result.complete:
-            return _format_partial_points(
-                f"experiment: {result.spec.label}",
-                [(p.spec.label, len(p.records.records), p.spec.n_trials) for p in result.points],
-            ), False
-        return format_experiment_result(result), True
-    try:
-        records = TrialRecordSet.from_jsonl(text)
-    except ValueError as exc:
-        parser.error(f"cannot parse {path}: {exc}")
-    if not records.complete:
-        line = _completion_line(
-            f"campaign: {records.spec.label}", len(records), records.spec.n_trials
-        )
-        from repro.exec.engine import progress_sidecar_path
-
-        sidecar = progress_sidecar_path(path)
-        if sidecar.exists():
-            try:
-                snapshot = json.loads(sidecar.read_text())["progress"]
-                line += (
-                    f" [last snapshot: {snapshot['trials_done']}"
-                    f"/{snapshot['trials_total']} trials]"
-                )
-            except (ValueError, KeyError, TypeError):
-                pass  # a torn sidecar must not break the report
-        return line, False
-    title = f"campaign: {records.spec.label} ({records.spec.n_trials} trials)"
-    return format_point_result(records.aggregate(), title=title), True
-
-
-def _report_store(parser: argparse.ArgumentParser, path: Path) -> tuple[str, bool]:
-    """Render a non-jsonl results store (e.g. a sqlite database) for ``report``.
-
-    Same output shapes as the jsonl renderers: a completion line or
-    per-point table for a partial run, the full aggregate otherwise.
-    """
-    from repro.analysis.reporting import format_experiment_result, format_point_result
-
-    store = open_store(path)
-    try:
-        try:
-            view = store.load_view()
-        except ValueError as exc:
-            parser.error(f"cannot read {path}: {exc}")
-        spec = view.spec
-        if not view.complete:
-            if spec.is_sweep:
-                states = [(p.spec.label, p.n_done, p.spec.n_trials) for p in view.points]
-                return _format_partial_points(f"{spec.kind}: {spec.label}", states), False
-            point = view.points[0]
-            line = _completion_line(
-                f"campaign: {point.spec.label}", point.n_done, point.spec.n_trials
-            )
-            if isinstance(view.progress, dict):
-                try:
-                    line += (
-                        f" [last snapshot: {view.progress['trials_done']}"
-                        f"/{view.progress['trials_total']} trials]"
-                    )
-                except KeyError:
-                    pass  # a foreign snapshot shape must not break the report
-            return line, False
-        if not spec.is_sweep:
-            records = store.point_records(0)
-            title = f"campaign: {records.spec.label} ({records.spec.n_trials} trials)"
-            return format_point_result(records.aggregate(), title=title), True
-        points = []
-        for index, (point, _campaign_spec) in enumerate(spec.expanded()):
-            records = store.point_records(index)
-            points.append(
-                PointResult(
-                    index=index,
-                    point=point,
-                    spec=records.spec,
-                    records=records,
-                    result=records.aggregate(),
-                )
-            )
-        return format_experiment_result(ExperimentResult(spec=spec, points=points)), True
-    finally:
-        store.close()
+def _format_partial_view(path: Path, view) -> str:
+    """The completion state of an interrupted run's store view."""
+    spec = view.spec
+    if spec.is_sweep:
+        states = [(p.spec.label, p.n_done, p.spec.n_trials) for p in view.points]
+        return _format_partial_points(f"{spec.kind}: {spec.label}", states)
+    point = view.points[0]
+    label = f"campaign: {point.spec.label}"
+    snapshot = view.progress if isinstance(view.progress, dict) else {}
+    counts = (snapshot.get("trials_done"), snapshot.get("trials_total"))
+    if None in counts:
+        return _completion_line(label, point.n_done, point.spec.n_trials)
+    if not path.exists():
+        # Killed before its first record: the progress snapshot is all there is.
+        line = _completion_line(label, *counts)
+        return f"{line} [progress snapshot; no trial records on disk]"
+    line = _completion_line(label, point.n_done, point.spec.n_trials)
+    return f"{line} [last snapshot: {counts[0]}/{counts[1]} trials]"
 
 
 def _format_partial_points(label: str, states: list[tuple[str, int, int]]) -> str:
@@ -697,118 +641,21 @@ def _format_partial_points(label: str, states: list[tuple[str, int, int]]) -> st
     return format_table(["point", "trials", "state"], rows, title=title)
 
 
-def _has_experiment_header(text: str) -> bool:
-    """Whether JSONL text opens with an ``{"experiment": ...}`` header line."""
-    lines = text.splitlines()
-    if not lines:
-        return False
-    try:
-        head = json.loads(lines[0])
-    except ValueError:
-        return False
-    return isinstance(head, dict) and "experiment" in head
-
-
-def _load_point_records(path: Path, campaign_spec) -> TrialRecordSet:
-    """Load one grid point's checkpoint, trusting the file's own trial count.
-
-    An adaptive run stops a point early (or tops it up past the sweep's
-    ``n_trials``) and rewrites the file header to the count actually on
-    disk; the manifest spec still carries the initial count, so the file
-    header decides completeness.  Identity is still checked -- the count is
-    the only field allowed to differ from the manifest's expansion.
-    """
-    from dataclasses import replace
-
-    from repro.exec.checkpoint import parse_results_text
-
-    text = path.read_text()
-    spec_dict, _ = parse_results_text(text)
-    spec = campaign_spec
-    if spec_dict is not None and isinstance(spec_dict.get("n_trials"), int):
-        spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
-    return TrialRecordSet.from_jsonl(text, spec=spec)
-
-
 def _load_experiment_result(parser: argparse.ArgumentParser, raw: str) -> ExperimentResult:
     """Load a *finished* experiment from any results store or stream file."""
     path = Path(raw)
-    if not path.exists():
-        parser.error(f"results path {raw} does not exist")
-    if path.is_file() and sniff_store(path) != DEFAULT_STORE:
-        store = open_store(path)
-        try:
-            try:
-                view = store.load_view()
-            except ValueError as exc:
-                parser.error(f"cannot read {raw}: {exc}")
-            points = []
-            for point_view in view.points:
-                if not point_view.complete:
-                    parser.error(
-                        f"grid point {point_view.spec.label!r} is partial "
-                        f"({point_view.n_done}/{point_view.spec.n_trials} "
-                        "trials); finish the run first"
-                    )
-                records = store.point_records(point_view.index)
-                points.append(
-                    PointResult(
-                        index=point_view.index,
-                        point=point_view.point,
-                        spec=records.spec,
-                        records=records,
-                        result=records.aggregate(),
-                    )
-                )
-            return ExperimentResult(spec=view.spec, points=points)
-        finally:
-            store.close()
-    if path.is_dir():
-        manifest = path / MANIFEST_NAME
-        if not manifest.exists():
-            parser.error(
-                f"results directory {raw} has no {MANIFEST_NAME} manifest; "
-                "run the sweep through `repro run --results` first"
-            )
-        spec, _progress = read_manifest(manifest)
-        points = []
-        for index, (point, campaign_spec) in enumerate(spec.expanded()):
-            point_path = campaign_results_path(path, index, campaign_spec)
-            if not point_path.exists():
-                parser.error(
-                    f"grid point {campaign_spec.label!r} has no results file "
-                    f"in {raw}; finish the run first (resume with the same "
-                    "spec + --results)"
-                )
-            try:
-                records = _load_point_records(point_path, campaign_spec)
-            except ValueError as exc:
-                parser.error(f"cannot parse {point_path}: {exc}")
-            if not records.complete:
-                parser.error(
-                    f"grid point {campaign_spec.label!r} is partial "
-                    f"({len(records.records)}/{records.spec.n_trials} trials); "
-                    "finish the run first"
-                )
-            points.append(
-                PointResult(
-                    index=index,
-                    point=point,
-                    spec=records.spec,
-                    records=records,
-                    result=records.aggregate(),
-                )
-            )
-        return ExperimentResult(spec=spec, points=points)
-    text = path.read_text()
-    if not _has_experiment_header(text):
-        parser.error(
-            f"{raw} is not an experiment stream or sweep results directory"
-        )
-    result = ExperimentResult.from_jsonl(text)
-    if not result.complete:
-        parser.error(f"experiment in {raw} is partial; finish the run first")
-    return result
+    if _is_experiment_stream(path):
+        result = ExperimentResult.from_jsonl(path.read_text())
+        if not result.complete:
+            parser.error(f"experiment in {raw} is partial; finish the run first")
+        return result
+    store = open_store(path)
+    try:
+        return store.load_result()
+    except ValueError as exc:
+        parser.error(str(exc))
+    finally:
+        store.close()
 
 
 def cmd_pareto(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -897,58 +744,6 @@ def cmd_store_convert(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error(str(exc))
     print(f"converted {total} record(s) to the {args.to} store at {dest}")
     return 0
-
-
-def _report_directory(
-    parser: argparse.ArgumentParser, path: Path
-) -> list[tuple[str, bool]]:
-    """Render a sweep results directory (manifest-aware, else per-file).
-
-    With a manifest, an interrupted sweep renders a per-point completion
-    table instead of erroring out.  The table is computed from the JSONL
-    files themselves (the ground truth); the manifest contributes the spec,
-    so even never-started grid points render as ``pending`` rows.
-    """
-    from repro.analysis.reporting import format_experiment_result
-
-    manifest = path / MANIFEST_NAME
-    if manifest.exists():
-        spec, _progress = read_manifest(manifest)
-        points = []
-        states: list[tuple[str, int, int]] = []
-        for index, (point, campaign_spec) in enumerate(spec.expanded()):
-            point_path = campaign_results_path(path, index, campaign_spec)
-            if point_path.exists():
-                records = _load_point_records(point_path, campaign_spec)
-            else:
-                records = TrialRecordSet(spec=campaign_spec)
-            states.append((campaign_spec.label, len(records.records), records.spec.n_trials))
-            points.append((index, point, records.spec, records))
-        if not all(done == total for _, done, total in states):
-            label = f"{spec.kind}: {spec.label}"
-            return [(_format_partial_points(label, states), False)]
-        complete_points = [
-            PointResult(
-                index=index,
-                point=point,
-                spec=campaign_spec,
-                records=records,
-                result=records.aggregate(),
-            )
-            for index, point, campaign_spec, records in points
-        ]
-        return [
-            (
-                format_experiment_result(
-                    ExperimentResult(spec=spec, points=complete_points)
-                ),
-                True,
-            )
-        ]
-    jsonl_files = sorted(p for p in path.iterdir() if p.suffix == ".jsonl")
-    if not jsonl_files:
-        parser.error(f"results directory {path} holds no JSONL files")
-    return [_report_file(parser, p) for p in jsonl_files]
 
 
 # --------------------------------------------------------------------------- #
@@ -1221,8 +1016,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pareto.add_argument(
         "results",
-        help="finished sweep results: a directory written by `repro run "
-        "--results`, or an experiment JSONL stream",
+        help="finished sweep results: a JSONL results directory, a sqlite "
+        "database, or an experiment JSONL stream (backend auto-detected)",
     )
     pareto.add_argument(
         "--metric",

@@ -36,17 +36,8 @@ from repro.exec.progress import ProgressEvent, ProgressTracker
 from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
 from repro.exec.spec import ExperimentSpec
 # Imported from the interface module (not the repro.store package root) to
-# keep the engine <-> store import order acyclic.  The manifest/sidecar
-# helpers grew up here but belong to the store layer; re-exported so existing
-# imports (`from repro.exec.engine import ...`) hold.
-from repro.store.base import (  # noqa: F401
-    MANIFEST_NAME,
-    PointStore,
-    ResultsStore,
-    build_store,
-    progress_sidecar_path,
-    read_manifest,
-)
+# keep the engine <-> store import order acyclic.
+from repro.store.base import PointStore, ResultsStore, build_store
 from repro.store.base import experiment_resume_key as _experiment_resume_key
 
 

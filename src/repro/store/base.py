@@ -15,7 +15,8 @@ experiment --
   persistence, and completion cleanup (:meth:`ResultsStore.finalize`);
 * **read side** (driven by ``repro report|pareto|query``): a counts-only
   :meth:`ResultsStore.load_view`, full per-point record sets
-  (:meth:`ResultsStore.point_records`), memory-bounded record streaming
+  (:meth:`ResultsStore.point_records`), the finished, aggregated experiment
+  (:meth:`ResultsStore.load_result`), memory-bounded record streaming
   (:meth:`ResultsStore.iter_records`) and canonical-bytes export
   (:meth:`ResultsStore.export_canonical`) so any backend can be
   byte-compared against the JSONL reference layout.
@@ -42,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from repro.fault.runner import CampaignSpec, _canonical_json
 
 if TYPE_CHECKING:
+    from repro.exec.results import ExperimentResult
     from repro.exec.spec import ExperimentSpec
 
 #: A per-trial record: a JSON-serialisable mapping produced by a trial kernel
@@ -82,7 +84,10 @@ def read_manifest(path: str | Path) -> tuple["ExperimentSpec", dict | None]:
     """
     from repro.exec.spec import ExperimentSpec
 
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"cannot parse manifest {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} is not a JSON object")
     progress = data.pop("progress", None)
@@ -282,6 +287,35 @@ class ResultsStore(abc.ABC):
         ``jsonl`` backend would have written, which is what the
         cross-backend parity suites compare.
         """
+
+    def load_result(self, view: StoreView | None = None) -> "ExperimentResult":
+        """The finished experiment: every grid point's records, aggregated.
+
+        Raises ``ValueError`` naming the first partial grid point.  ``view``
+        saves a re-read when the caller already holds :meth:`load_view`.
+        """
+        from repro.exec.results import ExperimentResult, PointResult
+
+        view = self.load_view() if view is None else view
+        points = []
+        for point_view in view.points:
+            if not point_view.complete:
+                raise ValueError(
+                    f"grid point {point_view.spec.label!r} is partial "
+                    f"({point_view.n_done}/{point_view.spec.n_trials} trials); "
+                    "finish the run first"
+                )
+            records = self.point_records(point_view.index)
+            points.append(
+                PointResult(
+                    index=point_view.index,
+                    point=point_view.point,
+                    spec=records.spec,
+                    records=records,
+                    result=records.aggregate(),
+                )
+            )
+        return ExperimentResult(spec=view.spec, points=points)
 
 
 class NullStore(ResultsStore):

@@ -10,9 +10,10 @@ checkpoints, goldens and the cross-backend byte-parity suites are untouched
 by the store refactor: a ``--store jsonl`` run produces the same bytes the
 engine produced before stores existed.
 
-The manifest/sidecar helpers (:data:`MANIFEST_NAME`,
-:func:`progress_sidecar_path`, :func:`read_manifest`) moved here from
-``repro.exec.engine``, which re-exports them for compatibility.
+The read side applies the checks a results reader needs: a point file whose
+header names another grid point is refused, and records past the header's
+trial count are dropped, so ``repro report|pareto|query`` and ``repro store
+convert`` all see the same records.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from repro.exec.checkpoint import (
     TrialCheckpoint,
     TrialRecord,
     campaign_results_path,
+    canonical_record_bytes,
     parse_results_text,
 )
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import CampaignSpec, _canonical_json
-from repro.store.base import (  # noqa: F401  (manifest helpers re-exported)
+from repro.fault.runner import CampaignSpec, _canonical_json, _resume_key
+from repro.store.base import (
     MANIFEST_NAME,
     PointView,
     ResultsStore,
@@ -44,26 +46,14 @@ from repro.store.base import (  # noqa: F401  (manifest helpers re-exported)
 )
 
 
-def canonical_record_bytes(spec_dict: dict, records: dict[int, TrialRecord]) -> bytes:
-    """Checkpoint-JSONL bytes of one point: header + trial-sorted records.
-
-    ``spec_dict`` is emitted verbatim as the header -- callers pass the
-    stored run header, whose ``n_trials`` already reflects the point's truth
-    (the adaptive stop count once complete, the running cap while
-    in-flight).  For a complete point this reproduces
-    :meth:`TrialCheckpoint.write_canonical` byte-for-byte, which is what the
-    cross-backend parity checks compare.
-    """
-    lines = [_canonical_json({"spec": spec_dict})]
-    lines += [
-        _canonical_json({"trial": i, "record": records[i]}) for i in sorted(records)
-    ]
-    return ("\n".join(lines) + "\n").encode()
-
-
 @register_store("jsonl")
 class JsonlStore(ResultsStore):
     """The default store: per-point JSONL checkpoints, manifest, sidecar."""
+
+    @property
+    def manifest(self) -> Path:
+        """The sweep manifest (spec + progress) of a results directory."""
+        return self.path / MANIFEST_NAME
 
     # ------------------------------------------------------------------ #
     # Write lifecycle
@@ -108,17 +98,16 @@ class JsonlStore(ResultsStore):
     def prepare(self) -> None:
         if self.spec is None or not self.spec.is_sweep:
             return
-        manifest = self.path / MANIFEST_NAME
-        if manifest.exists():
-            existing, _ = read_manifest(manifest)
+        if self.manifest.exists():
+            existing, _ = read_manifest(self.manifest)
             if experiment_resume_key(existing) != experiment_resume_key(self.spec):
                 raise ValueError(
-                    f"{manifest} describes a different experiment; refusing "
+                    f"{self.manifest} describes a different experiment; refusing "
                     "to mix results of two sweeps in one directory"
                 )
             return
         self.path.mkdir(parents=True, exist_ok=True)
-        manifest.write_text(self.spec.to_json() + "\n")
+        self.manifest.write_text(self.spec.to_json() + "\n")
 
     def point_store(
         self, index: int, spec: CampaignSpec, run_spec: CampaignSpec
@@ -137,7 +126,7 @@ class JsonlStore(ResultsStore):
         if self.spec is None:
             return
         if self.spec.is_sweep:
-            target = self.path / MANIFEST_NAME
+            target = self.manifest
             payload = dict(self.spec.to_dict())
             payload["progress"] = snapshot
         else:
@@ -170,28 +159,32 @@ class JsonlStore(ResultsStore):
         if self.spec is not None:
             return self.spec, None
         if self.path.is_dir():
-            manifest = self.path / MANIFEST_NAME
-            if not manifest.exists():
+            if not self.manifest.exists():
                 raise ValueError(
                     f"results directory {self.path} has no {MANIFEST_NAME} "
                     "manifest; run the sweep through `repro run --results` first"
                 )
-            return read_manifest(manifest)
+            return read_manifest(self.manifest)
         sidecar = progress_sidecar_path(self.path)
-        progress = None
-        if sidecar.exists():
-            try:
-                progress = json.loads(sidecar.read_text()).get("progress")
-            except ValueError:
-                progress = None  # a torn sidecar must not break reads
+        spec_dict = None
         if self.path.exists():
             spec_dict, _ = parse_results_text(self.path.read_text())
-            if spec_dict is not None:
-                return ExperimentSpec.from_dict(spec_dict), progress
-        if sidecar.exists():
+        try:
             data = json.loads(sidecar.read_text())
-            return ExperimentSpec.from_dict(data["spec"]), data.get("progress")
-        raise ValueError(f"results path {self.path} does not exist")
+            progress = data.get("progress")
+            if spec_dict is None:
+                return ExperimentSpec.from_dict(data["spec"]), progress
+        except FileNotFoundError:
+            progress = None
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            if spec_dict is None:
+                raise ValueError(f"cannot parse progress sidecar {sidecar}: {exc}") from None
+            progress = None  # a torn sidecar must not break reads of the records
+        if spec_dict is None:
+            if self.path.exists():
+                raise ValueError(f"{self.path} has no spec header")
+            raise ValueError(f"results path {self.path} does not exist")
+        return ExperimentSpec.from_dict(spec_dict), progress
 
     def _point_state(
         self, spec: ExperimentSpec, index: int, campaign_spec: CampaignSpec
@@ -201,15 +194,25 @@ class JsonlStore(ResultsStore):
         The file's own header decides the trial count: an adaptive run stops
         a point early (or tops it up past the sweep's ``n_trials``) and
         rewrites the header to the count actually on disk, while the
-        manifest spec still carries the initial count.
+        manifest spec still carries the initial count.  Identity is still
+        checked -- the count is the only field allowed to differ from the
+        expansion -- and records past the count are dropped.
         """
         path = self._point_path(spec, index, campaign_spec)
         if not path.exists():
             return campaign_spec, None, {}
         spec_dict, records = parse_results_text(path.read_text())
         point_spec = campaign_spec
-        if spec_dict is not None and isinstance(spec_dict.get("n_trials"), int):
-            point_spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
+        if spec_dict is not None:
+            if _resume_key(spec_dict) != _resume_key(campaign_spec.to_dict()):
+                stored = spec_dict.get("name") or spec_dict.get("campaign")
+                raise ValueError(
+                    f"{path} holds results for grid point {stored!r}, not "
+                    f"{campaign_spec.label!r}"
+                )
+            if isinstance(spec_dict.get("n_trials"), int):
+                point_spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
+        records = {i: r for i, r in records.items() if i < point_spec.n_trials}
         return point_spec, spec_dict, records
 
     def load_view(self) -> StoreView:

@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec.adaptive import AdaptiveSpec
 from repro.exec.checkpoint import TrialCheckpoint, parse_results_text
-from repro.exec.engine import MANIFEST_NAME, run_experiment
+from repro.exec.engine import run_experiment
 from repro.exec.progress import ProgressTracker
 from repro.exec.spec import ExperimentSpec
 from repro.fault.metrics import CampaignResult, TrialOutcome
 from repro.fault.runner import CampaignSpec, register_campaign
+from repro.store import MANIFEST_NAME
 
 SETTINGS = dict(max_examples=25, deadline=None)
 

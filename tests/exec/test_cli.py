@@ -238,7 +238,7 @@ class TestReport:
         assert capsys.readouterr().out.strip() == first.strip()
 
     def test_reports_directory_without_manifest(self, sweep_file, tmp_path, capsys):
-        from repro.exec.engine import MANIFEST_NAME
+        from repro.store import MANIFEST_NAME
 
         results = tmp_path / "out"
         main(["run", str(sweep_file), "--results", str(results)])
@@ -265,7 +265,8 @@ class TestReport:
         `report` shows the snapshot next to the on-disk record count."""
         import json as json_module
 
-        from repro.exec.engine import progress_sidecar_path, run_experiment
+        from repro.exec.engine import run_experiment
+        from repro.store import progress_sidecar_path
 
         results = tmp_path / "out.jsonl"
 
@@ -296,7 +297,8 @@ class TestReport:
     def test_report_renders_sidecar_when_no_records_landed(self, tmp_path, capsys):
         """A run killed before its first record leaves no JSONL at all, but
         the sidecar still lets `report` show the completion state."""
-        from repro.exec.engine import progress_sidecar_path, run_experiment
+        from repro.exec.engine import run_experiment
+        from repro.store import progress_sidecar_path
         from repro.exec.executors import Executor
 
         results = tmp_path / "never-started.jsonl"
@@ -351,6 +353,17 @@ class TestReport:
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", str(tmp_path / "ghost.jsonl")])
+
+    def test_corrupt_manifest_rejected_naming_it(self, sweep_file, tmp_path, capsys):
+        from repro.store import MANIFEST_NAME
+
+        results = tmp_path / "out"
+        main(["run", str(sweep_file), "--results", str(results)])
+        (results / MANIFEST_NAME).write_text("{torn")
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["report", str(results)])
+        assert f"cannot parse manifest {results / MANIFEST_NAME}" in capsys.readouterr().err
 
     def test_campaign_named_experiment_not_misdetected(self, tmp_path, capsys):
         """Header detection must parse JSON, not substring-match 'experiment'."""
@@ -652,3 +665,116 @@ class TestStoreCli:
         capsys.readouterr()
         for path in sorted(results.glob("*.jsonl")):
             assert (back / path.name).read_bytes() == path.read_bytes()
+
+
+PARETO = ExperimentSpec(
+    campaign="transformer_inference",
+    n_trials=2,
+    seed=7,
+    params={"hidden_dim": 16, "seq_len": 8},
+    grid={"scheme": ["none", "efta_unified", "decoupled"]},
+    name="cli-pareto",
+)
+
+
+class TestPareto:
+    """`repro pareto` renders the same frontier from every results layout."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self, tmp_path_factory):
+        from repro.exec.engine import run_experiment
+
+        root = tmp_path_factory.mktemp("pareto")
+        run_experiment(PARETO, results_path=root / "out")
+        run_experiment(PARETO, results_path=root / "out.db", store="sqlite")
+        stream = root / "stream.jsonl"
+        stream.write_text(run_experiment(PARETO).to_jsonl())
+        return root
+
+    def test_identical_across_layouts(self, layouts, capsys):
+        outputs = []
+        for name in ("out", "out.db", "stream.jsonl"):
+            assert main(["pareto", str(layouts / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "pareto: cli-pareto -- detection_rate (95% wilson)" in outputs[0]
+        assert "pareto-optimal: none, efta_unified" in outputs[0]
+
+    @pytest.mark.parametrize("store", ["jsonl", "sqlite"])
+    def test_campaign_results_refused_for_want_of_a_scheme_axis(
+        self, campaign_file, tmp_path, capsys, store
+    ):
+        results = tmp_path / ("out.db" if store == "sqlite" else "out.jsonl")
+        main(["run", str(campaign_file), "--results", str(results), "--store", store])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["pareto", str(results)])
+        assert "has no 'scheme' grid axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store", ["jsonl", "sqlite"])
+    def test_partial_sweep_refused_naming_the_point(self, tmp_path, capsys, store):
+        from repro.exec.engine import run_experiment
+
+        results = tmp_path / ("out.db" if store == "sqlite" else "out")
+
+        class Killed(Exception):
+            pass
+
+        def kill_after_first_point(event):
+            if event.kind == "point":
+                raise Killed
+
+        with pytest.raises(Killed):
+            run_experiment(
+                PARETO, results_path=results, store=store, progress=kill_after_first_point
+            )
+        with pytest.raises(SystemExit):
+            main(["pareto", str(results)])
+        err = capsys.readouterr().err
+        assert "grid point 'cli-pareto/scheme=efta_unified' is partial (0/2 trials)" in err
+
+
+class TestForeignPointFile:
+    """A sweep directory whose point file belongs to another grid point is
+    refused by every reader, naming the file and both point labels."""
+
+    @pytest.fixture
+    def results(self, tmp_path):
+        from repro.exec.engine import run_experiment
+
+        spec = ExperimentSpec(
+            campaign="abft_error_coverage",
+            n_trials=4,
+            seed=7,
+            params={"bit_error_rate": 1e-7, "rows": 32, "cols": 32},
+            grid={"scheme": ["tensor", "element"]},
+            name="foreign",
+        )
+        results = tmp_path / "out"
+        run_experiment(spec, results_path=results)
+        tensor, element = sorted(results.glob("*.jsonl"))
+        assert "scheme=element" in element.name
+        element.write_bytes(tensor.read_bytes())
+        return results
+
+    @staticmethod
+    def assert_refused(argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "001-foreign_scheme=element.jsonl holds results for grid point " in err
+        assert "'foreign/scheme=tensor', not 'foreign/scheme=element'" in err
+        assert "Traceback" not in err
+
+    def test_query_refuses(self, results, capsys):
+        self.assert_refused(["query", str(results), "--scheme", "element", "--count"], capsys)
+
+    def test_store_convert_refuses(self, results, tmp_path, capsys):
+        db = tmp_path / "out.db"
+        self.assert_refused(
+            ["store", "convert", str(results), "--to", "sqlite", "--out", str(db)], capsys
+        )
+
+    def test_report_refuses(self, results, capsys):
+        self.assert_refused(["report", str(results)], capsys)

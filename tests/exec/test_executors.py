@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec.checkpoint import campaign_results_path
-from repro.exec.engine import MANIFEST_NAME, ExperimentRunner, run_experiment
+from repro.exec.engine import ExperimentRunner, run_experiment
 from repro.exec.executors import (
     Executor,
     SerialExecutor,
@@ -23,6 +23,7 @@ from repro.exec.executors import (
 )
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
+from repro.store import MANIFEST_NAME
 
 #: Every built-in backend; parametrized suites cover the whole registry.
 ALL_BACKENDS = ["serial", "process", "async", "distributed"]
@@ -190,7 +191,7 @@ class TestResume:
         assert resumed.result.outcomes == reference.result.outcomes
 
     def test_manifest_written_and_checked(self, tmp_path):
-        from repro.exec.engine import read_manifest
+        from repro.store import read_manifest
 
         run_experiment(SWEEP, results_path=tmp_path)
         manifest = tmp_path / MANIFEST_NAME

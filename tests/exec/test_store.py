@@ -253,6 +253,31 @@ class TestStoreViews:
         finally:
             store.close()
 
+    def test_load_result_refuses_a_partial_point(self, tmp_path, backend):
+        path = self._results_path(tmp_path, backend)
+        _killed_run(SWEEP, path, store=backend)
+        store = open_store(path)
+        try:
+            with pytest.raises(ValueError, match="grid point 'store-sweep/scheme=element' is partial"):
+                store.load_result()
+        finally:
+            store.close()
+
+
+class TestJsonlReadChecks:
+    def test_records_past_the_header_count_are_dropped(self, tmp_path):
+        path = tmp_path / "sweep"
+        _run(SWEEP, path)
+        point_file = _jsonl_point_files(SWEEP, path)[0]
+        stray = json.dumps({"trial": 9, "record": {"detected": True}})
+        point_file.write_text(point_file.read_text() + stray + "\n")
+        store = open_store(path)
+        view = store.load_view()
+        assert view.complete and [p.n_done for p in view.points] == [4, 4]
+        assert store.count_records() == 8
+        assert sorted(store.point_records(0).records) == [0, 1, 2, 3]
+        assert store.load_result(view).points[0].result == _run(SWEEP, None).points[0].result
+
 
 # --------------------------------------------------------------------------- #
 # Resume and refusal semantics
